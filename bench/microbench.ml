@@ -228,6 +228,16 @@ let odc_guard =
   Test.make ~name:"guard_odc_mux5"
     (Staged.stage (fun () -> ignore (Guard.observability_condition net root)))
 
+(* One power-policy don't-care sweep over the 4-bit array multiplier: per
+   node, the exact don't-care analysis plus the scoring of its three
+   candidate covers.  Each run sweeps a fresh copy. *)
+let dontcare_power =
+  let net = (Circuits.array_multiplier 4).Circuits.net in
+  let policy = Dontcare.For_power (Probability.uniform_inputs net) in
+  Test.make ~name:"dontcare_power_mult4"
+    (Staged.stage (fun () ->
+         ignore (Dontcare.optimize ~verify:`Off (Network.copy net) policy)))
+
 let seq_chain =
   let stg = Gen_fsm.counter ~bits:4 in
   let synth = Fsm_synth.synthesize stg (Encode.binary ~num_states:16) in
@@ -371,7 +381,7 @@ let tests =
     event_sim_reference; required_times_1k; sta_full_1k; sta_incremental_1k;
     actsim_full_1k; actsim_incremental_1k;
     dualvth_opt_mult4; list_scheduling; iss_run;
-    encoding_search; odc_guard; seq_chain; streaming_kernel;
+    encoding_search; odc_guard; dontcare_power; seq_chain; streaming_kernel;
     prob_sim_scalar; prob_sim_bitsim; seq_sim_scalar; seq_sim_bitsim;
     sat_pigeon; cec_adder_vs_factored; cec_adder_vs_factored_incremental;
     sat_portfolio_pigeon_9 ]

@@ -6,7 +6,7 @@ let check_probs net input_probs =
     invalid_arg "Probability: input_probs arity mismatch";
   Array.iter
     (fun p ->
-      if p < 0.0 || p > 1.0 then
+      if not (p >= 0.0 && p <= 1.0) then
         invalid_arg "Probability: probability outside [0,1]")
     input_probs
 

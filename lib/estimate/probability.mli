@@ -13,6 +13,10 @@
 type t = (Network.id, float) Hashtbl.t
 (** Probability of 1, per node. *)
 
+val check_probs : Network.t -> float array -> unit
+(** Raises [Invalid_argument] unless the array holds one probability in
+    [0,1] (NaN excluded) per primary input of the network. *)
+
 val exact : Network.t -> input_probs:float array -> t
 (** Exact signal probabilities via global BDDs.  [input_probs.(i)] is the
     probability that primary input [i] is 1.  Raises [Invalid_argument] on

@@ -232,9 +232,19 @@ let adopt_input_order t man =
   if Bdd.node_count man = 0 && Bdd.num_vars man = 0 then
     Bdd.set_order man (bdd_input_order t)
 
+let expr_bdd man fanin_bdds e =
+  let rec build = function
+    | Expr.Const b -> if b then Bdd.tru man else Bdd.fls man
+    | Expr.Var v -> fanin_bdds.(v)
+    | Expr.Not e -> Bdd.not_ man (build e)
+    | Expr.And es -> Bdd.and_list man (List.map build es)
+    | Expr.Or es -> Bdd.or_list man (List.map build es)
+    | Expr.Xor (a, b) -> Bdd.xor man (build a) (build b)
+  in
+  build e
+
 (* Shared builder behind the [global_bdds*] entry points.  [keep] limits
-   the build to a cone; [override] replaces one node's function wholesale
-   (the free-variable trick used by don't-care computation). *)
+   the build to a cone; [override] replaces one node's function wholesale. *)
 let build_global_bdds t man ~keep ~override =
   let bdds = Hashtbl.create (Hashtbl.length t.nodes) in
   List.iteri
@@ -253,15 +263,7 @@ let build_global_bdds t man ~keep ~override =
             let fanin_bdds =
               Array.of_list (List.map (Hashtbl.find bdds) n.nfanins)
             in
-            let rec build = function
-              | Expr.Const b -> if b then Bdd.tru man else Bdd.fls man
-              | Expr.Var v -> fanin_bdds.(v)
-              | Expr.Not e -> Bdd.not_ man (build e)
-              | Expr.And es -> Bdd.and_list man (List.map build es)
-              | Expr.Or es -> Bdd.or_list man (List.map build es)
-              | Expr.Xor (a, b) -> Bdd.xor man (build a) (build b)
-            in
-            Hashtbl.replace bdds i (build n.nfunc)))
+            Hashtbl.replace bdds i (expr_bdd man fanin_bdds n.nfunc)))
     (topo_order t);
   bdds
 
@@ -269,14 +271,14 @@ let global_bdds t man =
   adopt_input_order t man;
   build_global_bdds t man ~keep:(fun _ -> true) ~override:(fun _ -> None)
 
-let global_bdds_with_free t man ~node ~free_var =
-  if is_input t node then
-    invalid_arg "Network.global_bdds_with_free: input node";
+let global_bdds_with t man ~node override =
+  if is_input t node then invalid_arg "Network.global_bdds_with: input node";
+  (* The order goes in before [override] can create its own variables. *)
   adopt_input_order t man;
-  let z = Bdd.var man free_var in
+  let f = override () in
   build_global_bdds t man
     ~keep:(fun _ -> true)
-    ~override:(fun i -> if i = node then Some z else None)
+    ~override:(fun i -> if i = node then Some f else None)
 
 let output_bdd t man output_name =
   match List.assoc_opt output_name (outputs t) with

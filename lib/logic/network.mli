@@ -94,12 +94,22 @@ val global_bdds : t -> Bdd.man -> (id, Bdd.t) Hashtbl.t
     variables), the {!bdd_input_order} interleaved order is installed
     first; pre-seeded managers are left untouched. *)
 
-val global_bdds_with_free : t -> Bdd.man -> node:id -> free_var:int -> (id, Bdd.t) Hashtbl.t
-(** Like {!global_bdds}, but node [node]'s global function is replaced by
-    the free BDD variable [free_var], so downstream functions are computed
-    over the inputs plus that free variable — the standard setup for
-    observability don't-care extraction.  Raises [Invalid_argument] if
-    [node] is an input. *)
+val global_bdds_with :
+  t -> Bdd.man -> node:id -> (unit -> Bdd.t) -> (id, Bdd.t) Hashtbl.t
+(** [global_bdds_with t man ~node f] is {!global_bdds} with node [node]'s
+    global function replaced by [f ()], so every node downstream of [node]
+    is computed over that override.  A free BDD variable as the override is
+    the standard setup for observability don't-care extraction; a candidate
+    implementation's global function gives the network as it would be with
+    that candidate installed, without mutating it.  [f] is called once,
+    after the interleaved order has been installed on a pristine [man], so
+    variables it creates land below the primary inputs.  Raises
+    [Invalid_argument] if [node] is an input. *)
+
+val expr_bdd : Bdd.man -> Bdd.t array -> Expr.t -> Bdd.t
+(** [expr_bdd man fanins e] is the BDD of local function [e] with
+    [Expr.Var j] standing for [fanins.(j)] — how {!global_bdds} builds a
+    node from its fanins' global functions. *)
 
 val output_bdd : t -> Bdd.man -> string -> Bdd.t
 (** Global function of one named output.  Builds only the output's

@@ -9,7 +9,19 @@ type policy =
   | For_power of float array
   | For_power_fanout of float array
 
-let compute net n =
+let global_odc net man n ~free_var =
+  let free =
+    Network.global_bdds_with net man ~node:n (fun () -> Bdd.var man free_var)
+  in
+  List.fold_left
+    (fun acc (_, o) ->
+      let sens = Bdd.boolean_difference man (Hashtbl.find free o) free_var in
+      Bdd.and_ man acc (Bdd.not_ man sens))
+    (Bdd.tru man) (Network.outputs net)
+
+(* The don't-cares of [n] together with the manager and global table they
+   were computed in, so candidates can be scored without rebuilding them. *)
+let analyze net n =
   if Network.is_input net n then invalid_arg "Dontcare.compute: input node";
   let fanins = Network.fanins net n in
   let k = List.length fanins in
@@ -20,7 +32,6 @@ let compute net n =
   (* Variables: 0..npi-1 are primary inputs; npi..npi+k-1 stand for the
      fanin values y; npi+k is the free variable z. *)
   let yvar j = npi + j in
-  let zvar = npi + k in
   let pis = List.init npi (fun i -> i) in
   (* Consistency relation C(x, y). *)
   let consistency =
@@ -32,14 +43,7 @@ let compute net n =
   in
   let sdc = Bdd.not_ man (Bdd.exists man pis consistency) in
   (* Observability: outputs as functions of x and z. *)
-  let free = Network.global_bdds_with_free net man ~node:n ~free_var:zvar in
-  let odc_global =
-    List.fold_left
-      (fun acc (_, o) ->
-        let sens = Bdd.boolean_difference man (Hashtbl.find free o) zvar in
-        Bdd.and_ man acc (Bdd.not_ man sens))
-      (Bdd.tru man) (Network.outputs net)
-  in
+  let odc_global = global_odc net man n ~free_var:(npi + k) in
   (* y is a local ODC iff every x consistent with y is globally
      unobservable; the fused relational product skips the intermediate
      consistency∧observable conjunction. *)
@@ -55,10 +59,13 @@ let compute net n =
             else false))
   in
   let local_onset = Truth_table.of_expr k (Network.func net n) in
-  { node = n; local_onset; dontcare = tt_of dc_bdd }
+  (man, globals, { node = n; local_onset; dontcare = tt_of dc_bdd })
+
+let compute net n =
+  let _, _, d = analyze net n in
+  d
 
 let minimized_candidates d =
-  let k = Truth_table.num_vars d.local_onset in
   let care = Truth_table.not_ d.dontcare in
   let onset_care = Truth_table.and_ d.local_onset care in
   let dc_cover = Cover.of_truth_table d.dontcare in
@@ -72,29 +79,20 @@ let minimized_candidates d =
     Cover.minimize
       (Cover.of_truth_table (Truth_table.or_ d.local_onset d.dontcare))
   in
-  ignore k;
   [ free_min; zero_min; one_min ]
 
-let candidate_probability net n cand ~input_probs =
-  let man = Bdd.manager () in
-  let globals = Network.global_bdds net man in
-  let fanins =
-    Array.of_list
-      (List.map (fun j -> Hashtbl.find globals j) (Network.fanins net n))
-  in
-  let rec build = function
-    | Expr.Const b -> if b then Bdd.tru man else Bdd.fls man
-    | Expr.Var v -> fanins.(v)
-    | Expr.Not e -> Bdd.not_ man (build e)
-    | Expr.And es -> Bdd.and_list man (List.map build es)
-    | Expr.Or es -> Bdd.or_list man (List.map build es)
-    | Expr.Xor (a, b) -> Bdd.xor man (build a) (build b)
-  in
-  Bdd.probability man (fun v -> input_probs.(v)) (build (Cover.to_expr cand))
+let check_input_probs net = function
+  | For_area -> ()
+  | For_power probs | For_power_fanout probs ->
+    Probability.check_probs net probs
 
-(* Capacitance-weighted activity of a node set under exact probabilities,
-   with node [n]'s local function temporarily replaced by [cand]. *)
-let fanout_cost net n cand ~input_probs =
+let activity man probs f =
+  let p = Bdd.probability man (fun v -> probs.(v)) f in
+  2.0 *. p *. (1.0 -. p)
+
+(* Capacitance-weighted activity of [n] and its transitive fanout, priced
+   on a global table in which [n] holds the function under test. *)
+let tfo_cost net man n probs =
   let fanout = Hashtbl.create 16 in
   let rec mark i =
     if not (Hashtbl.mem fanout i) then begin
@@ -103,108 +101,67 @@ let fanout_cost net n cand ~input_probs =
     end
   in
   mark n;
-  let old_f = Network.func net n in
-  let fanins = Network.fanins net n in
-  Network.replace_func net n (Cover.to_expr cand) fanins;
-  let probs = Probability.exact net ~input_probs in
-  Network.replace_func net n old_f fanins;
-  Hashtbl.fold
-    (fun i () acc ->
-      let p = Hashtbl.find probs i in
-      acc +. (Network.cap net i *. 2.0 *. p *. (1.0 -. p)))
-    fanout 0.0
+  fun table ->
+    Hashtbl.fold
+      (fun i () acc ->
+        let p =
+          Bdd.probability man (fun v -> probs.(v)) (Hashtbl.find table i)
+        in
+        acc +. (Network.cap net i *. 2.0 *. p *. (1.0 -. p)))
+      fanout 0.0
 
 let optimize_node_unchecked net policy n =
   if Network.is_input net n || List.length (Network.fanins net n) > 16 then
     false
   else begin
-    let d = compute net n in
-    let cands = minimized_candidates d in
-    let current_lits = Expr.literal_count (Network.func net n) in
-    let chosen =
-      match policy with
-      | For_power_fanout input_probs ->
-        let scored =
-          List.map
-            (fun c -> (fanout_cost net n c ~input_probs, Cover.literal_count c, c))
-            cands
-        in
-        let best =
-          List.fold_left
-            (fun acc (a, l, c) ->
-              match acc with
-              | None -> Some (a, l, c)
-              | Some (ba, bl, _) ->
-                if a < ba -. 1e-12 || (Float.abs (a -. ba) <= 1e-12 && l < bl)
-                then Some (a, l, c)
-                else acc)
-            None scored
-        in
-        Option.map (fun (_, _, c) -> c) best
-      | For_area ->
-        let best =
-          List.fold_left
-            (fun acc c ->
-              match acc with
-              | None -> Some c
-              | Some b ->
-                if Cover.literal_count c < Cover.literal_count b then Some c
-                else acc)
-            None cands
-        in
-        best
-      | For_power input_probs ->
-        let activity c =
-          let p = candidate_probability net n c ~input_probs in
-          2.0 *. p *. (1.0 -. p)
-        in
-        let scored = List.map (fun c -> (activity c, Cover.literal_count c, c)) cands in
-        let best =
-          List.fold_left
-            (fun acc (a, l, c) ->
-              match acc with
-              | None -> Some (a, l, c)
-              | Some (ba, bl, _) ->
-                if a < ba -. 1e-12 || (Float.abs (a -. ba) <= 1e-12 && l < bl)
-                then Some (a, l, c)
-                else acc)
-            None scored
-        in
-        Option.map (fun (_, _, c) -> c) best
+    let man, globals, d = analyze net n in
+    let global_of cover =
+      Network.expr_bdd man
+        (Array.of_list (List.map (Hashtbl.find globals) (Network.fanins net n)))
+        (Cover.to_expr cover)
     in
-    match chosen with
-    | None -> false
-    | Some cover ->
-      let expr = Cover.to_expr cover in
-      let improves =
-        match policy with
-        | For_power_fanout input_probs ->
-          let old_cov =
-            Cover.of_truth_table
-              (Truth_table.of_expr
-                 (List.length (Network.fanins net n))
-                 (Network.func net n))
-          in
-          fanout_cost net n cover ~input_probs
-          < fanout_cost net n old_cov ~input_probs -. 1e-12
-        | For_area -> Expr.literal_count expr < current_lits
-        | For_power input_probs ->
-          let old_cov =
-            Cover.of_truth_table (Truth_table.of_expr
-              (List.length (Network.fanins net n)) (Network.func net n))
-          in
-          let old_p = candidate_probability net n old_cov ~input_probs in
-          let new_p = candidate_probability net n cover ~input_probs in
-          let act p = 2.0 *. p *. (1.0 -. p) in
-          act new_p < act old_p -. 1e-12
-          || (Float.abs (act new_p -. act old_p) <= 1e-12
-             && Expr.literal_count expr < current_lits)
-      in
-      if improves && not (Expr.equal expr (Network.func net n)) then begin
-        Network.replace_func net n expr (Network.fanins net n);
-        true
-      end
-      else false
+    let current_lits = Expr.literal_count (Network.func net n) in
+    (* [score] prices a candidate; [improves s e] decides whether the
+       winner, of score [s] and expression [e], beats the incumbent. *)
+    let score, improves =
+      match policy with
+      | For_area ->
+        ( (fun c -> float_of_int (Cover.literal_count c)),
+          fun _ e -> Expr.literal_count e < current_lits )
+      | For_power probs ->
+        let old = activity man probs (Hashtbl.find globals n) in
+        ( (fun c -> activity man probs (global_of c)),
+          fun s e ->
+            s < old -. 1e-12
+            || (Float.abs (s -. old) <= 1e-12
+               && Expr.literal_count e < current_lits) )
+      | For_power_fanout probs ->
+        let cost = tfo_cost net man n probs in
+        let with_cand c =
+          Network.global_bdds_with net man ~node:n (fun () -> global_of c)
+        in
+        ( (fun c -> cost (with_cand c)),
+          fun s _ -> s < cost globals -. 1e-12 )
+    in
+    let better (s, l, _) (bs, bl, _) =
+      s < bs -. 1e-12 || (Float.abs (s -. bs) <= 1e-12 && l < bl)
+    in
+    let scored =
+      List.map
+        (fun c -> (score c, Cover.literal_count c, c))
+        (minimized_candidates d)
+    in
+    let s, _, cover =
+      List.fold_left
+        (fun best x -> if better x best then x else best)
+        (List.hd scored) (List.tl scored)
+    in
+    let expr = Cover.to_expr cover in
+    if improves s expr && not (Expr.equal expr (Network.func net n)) then begin
+      Network.replace_func net n expr (Network.fanins net n);
+      true
+    end
+    else false
   end
 
 (* The don't-care computation guarantees equivalence by construction; the
@@ -220,10 +177,12 @@ let checked ?verify ~pass net run =
   result
 
 let optimize_node ?verify net policy n =
+  check_input_probs net policy;
   checked ?verify ~pass:"Dontcare.optimize_node" net (fun () ->
       optimize_node_unchecked net policy n)
 
 let optimize ?verify net policy =
+  check_input_probs net policy;
   checked ?verify ~pass:"Dontcare.optimize" net (fun () ->
       List.fold_left
         (fun changed i ->

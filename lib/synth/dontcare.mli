@@ -25,6 +25,15 @@ val compute : Network.t -> Network.id -> dc
 (** Exact local don't-cares of one node.  Raises [Invalid_argument] on an
     input node or a node with more than 16 fanins. *)
 
+val global_odc : Network.t -> Bdd.man -> Network.id -> free_var:int -> Bdd.t
+(** [global_odc net man n ~free_var] is the global observability
+    don't-care of node [n]: the conjunction over all primary outputs [o] of
+    [not (d o / d z)], where [z] (BDD variable [free_var]) replaces [n]'s
+    global function (see {!Network.global_bdds_with}).  It is a function of
+    the primary inputs (variables [0..npi-1]) and [z], true exactly where
+    no output can see [n].  Shared by {!compute} and
+    [Guard.observability_condition]. *)
+
 val minimized_candidates : dc -> Cover.t list
 (** Two-level-minimized re-implementations of the node, one per don't-care
     assignment: free (the minimizer chooses), all-to-0, all-to-1.  Every
@@ -51,9 +60,23 @@ val optimize_node :
     returns [true] if the node changed.  The network remains functionally
     equivalent at all primary outputs (don't-cares guarantee it); [verify]
     (default {!Verify.default}) re-proves the equivalence independently
-    and raises {!Verify.Failed} on a mismatch. *)
+    and raises {!Verify.Failed} on a mismatch.
+
+    Every candidate is scored inside the BDD manager and global table the
+    node's don't-care analysis already built: a candidate's global function
+    comes from its fanins' entries, [For_power] takes its probability
+    directly, and [For_power_fanout] prices the transitive fanout on a
+    table with the node overridden by the candidate.  The network is only
+    written once, when the winner is installed.  All policies pick the
+    lowest score (literal count for [For_area]), ties within [1e-12]
+    going to fewer literals.
+
+    Raises [Invalid_argument], before the network is touched, if a power
+    policy's probability array does not have one entry per primary input
+    or holds an entry outside the unit interval. *)
 
 val optimize : ?verify:Verify.mode -> Network.t -> policy -> int
 (** Apply {!optimize_node} to every logic node in topological order;
     returns the number of changed nodes.  One verification at the end
-    covers the whole sweep. *)
+    covers the whole sweep.  Validates the policy's probabilities as
+    {!optimize_node} does, once, before the sweep starts. *)

@@ -10,17 +10,14 @@ type result = {
    simplified and deduplicated, with the installed function dropped (it is
    the incumbent, measured already). *)
 let candidates net n =
-  match Dontcare.compute net n with
-  | exception Invalid_argument _ -> []
-  | d ->
-    let installed = Network.func net n in
-    List.fold_left
-      (fun acc cover ->
-        let e = Expr.simplify (Cover.to_expr cover) in
-        if Expr.equal e installed || List.exists (Expr.equal e) acc then acc
-        else e :: acc)
-      []
-      (Dontcare.minimized_candidates d)
+  let installed = Network.func net n in
+  List.fold_left
+    (fun acc cover ->
+      let e = Expr.simplify (Cover.to_expr cover) in
+      if Expr.equal e installed || List.exists (Expr.equal e) acc then acc
+      else e :: acc)
+    []
+    (Dontcare.minimized_candidates (Dontcare.compute net n))
 
 let measured ?verify ?mode ?(max_fanin = 10) net ~trace =
   let max_fanin = min max_fanin 16 in

@@ -243,6 +243,77 @@ let test_optimize_fanout_policy () =
   Alcotest.(check bool) "fanout-aware wins or ties on most networks" true
     (!better_or_equal * 2 >= !total)
 
+(* Pinned sweep results: structural hash and changed count per policy on
+   the 4x4 array multiplier and five random networks, under skewed input
+   probabilities.  Any drift in candidate generation, scoring or the tie
+   rules shows up here. *)
+let test_optimize_pinned () =
+  let skewed net =
+    Array.init (List.length (Network.inputs net)) (fun i ->
+        float_of_int ((i mod 5) + 1) /. 6.0)
+  in
+  let nets () =
+    ("mult4", (Circuits.array_multiplier 4).Circuits.net)
+    :: List.map
+         (fun seed ->
+           ( Printf.sprintf "random%d" seed,
+             Gen_comb.random (Lowpower.Rng.create seed)
+               { Gen_comb.default_shape with
+                 Gen_comb.num_inputs = 7; num_gates = 25 } ))
+         [ 1; 2; 3; 4; 5 ]
+  in
+  let check pname policy expected =
+    List.iter2
+      (fun (name, net) (changed, hash) ->
+        let label = pname ^ " " ^ name in
+        Alcotest.(check int)
+          (label ^ " changed") changed
+          (Dontcare.optimize net (policy (skewed net)));
+        Alcotest.(check int) (label ^ " hash") hash (Network.structural_hash net))
+      (nets ()) expected
+  in
+  check "area" (fun _ -> Dontcare.For_area)
+    [ (1, 3158953796908005560); (2, 4032628171119509199);
+      (4, 3001935445618979530); (7, 782808375712217960);
+      (10, 748408368190016416); (8, 2884930584803792015) ];
+  check "power" (fun p -> Dontcare.For_power p)
+    [ (0, 3391467124273209505); (2, 4032628171119509199);
+      (5, 2884570717901828882); (8, 2325989303022510340);
+      (10, 748408368190016416); (8, 4044701900101582533) ];
+  check "fanout" (fun p -> Dontcare.For_power_fanout p)
+    [ (0, 3391467124273209505); (0, 3343639800121800459);
+      (2, 524069043105959499); (2, 726169439154810927);
+      (2, 1308653854995681947); (2, 4527342947386879292) ]
+
+(* Bad probability arrays are rejected up front, by both entry points and
+   both power policies, and leave the network untouched. *)
+let test_optimize_rejects_bad_probs () =
+  let net = (Circuits.array_multiplier 3).Circuits.net in
+  let npi = List.length (Network.inputs net) in
+  let hash = Network.structural_hash net in
+  let node =
+    List.find (fun i -> not (Network.is_input net i)) (Network.topo_order net)
+  in
+  List.iter
+    (fun (pname, policy) ->
+      List.iter
+        (fun (what, probs) ->
+          List.iter
+            (fun (entry, run) ->
+              let label = Printf.sprintf "%s %s %s" entry pname what in
+              expect_invalid_arg label (fun () -> run (policy probs));
+              Alcotest.(check int) (label ^ " leaves net") hash
+                (Network.structural_hash net))
+            [ ("optimize", fun p -> ignore (Dontcare.optimize net p));
+              ("optimize_node",
+               fun p -> ignore (Dontcare.optimize_node net p node)) ])
+        [ ("short", Array.make (npi - 1) 0.5);
+          ("long", Array.make (npi + 1) 0.5);
+          ("p=1.5", Array.init npi (fun i -> if i = 1 then 1.5 else 0.5));
+          ("p=nan", Array.init npi (fun i -> if i = 2 then Float.nan else 0.5)) ])
+    [ ("power", fun p -> Dontcare.For_power p);
+      ("power+fanout", fun p -> Dontcare.For_power_fanout p) ]
+
 (* --- Factor --- *)
 
 let sop_of_string_pairs lits = lits (* readability alias *)
@@ -450,6 +521,8 @@ let suite =
     quick "dc optimization preserves outputs" test_optimize_preserves_outputs;
     quick "power dc optimization safe and useful" test_optimize_power_preserves_and_helps;
     quick "fanout-aware dc policy (paper [19])" test_optimize_fanout_policy;
+    quick "dc optimization results pinned" test_optimize_pinned;
+    quick "dc optimization rejects bad probabilities" test_optimize_rejects_bad_probs;
     quick "algebraic division" test_division;
     quick "kernels found" test_kernels_found;
     quick "extraction reduces literals" test_extract_reduces_literals;
