@@ -59,9 +59,12 @@ let e_false = 1
 
 (* ---------- manager ---------- *)
 
-let initial_nodes = 1024
-let initial_uslots = 4096
-let initial_cslots = 4096
+(* Small on purpose: many managers live for one query (a guard condition,
+   one output's BDD), where allocating the tables cost more than the BDD
+   work; every table doubles as the store grows. *)
+let initial_nodes = 256
+let initial_uslots = 1024
+let initial_cslots = 1024
 
 let fresh_cache slots = Array.make (slots * 5) (-1)
 
@@ -162,17 +165,21 @@ let grow_nodes m =
   m.nhi <- g m.nhi;
   m.nlvl.(0) <- max_int
 
-let rehash_unique m =
-  let slots = (m.umask + 1) * 2 in
-  let utab = Array.make slots 0 in
-  let mask = slots - 1 in
+(* Insert every stored node into the (empty) unique table. *)
+let fill_unique m =
+  let utab = m.utab and mask = m.umask in
   for n = 1 to m.n_nodes - 1 do
     let h = ref (hash3 m.nlvl.(n) m.nlo.(n) m.nhi.(n) land mask) in
     while utab.(!h) <> 0 do h := (!h + 1) land mask done;
     utab.(!h) <- n
-  done;
-  m.utab <- utab;
+  done
+
+let rehash_unique m =
+  let slots = (m.umask + 1) * 2 in
+  let mask = slots - 1 in
+  m.utab <- Array.make slots 0;
   m.umask <- mask;
+  fill_unique m;
   (* Keep the computed table roughly as large as the unique table; the
      old (now lossy-stale-free but small) contents are dropped. *)
   if m.cmask < mask then begin
@@ -601,8 +608,8 @@ let boolean_difference m f v =
 
 (* ---------- probability ---------- *)
 
-let probability _m p f =
-  let m = f.man in
+let probability m p f =
+  let root = own m f in
   let memo = Hashtbl.create 64 in
   (* Memoize on regular nodes; the complement bit flips P afterwards. *)
   let rec go e =
@@ -620,12 +627,12 @@ let probability _m p f =
     in
     if c = 1 then 1.0 -. pn else pn
   in
-  go f.e
+  go root
 
 (* ---------- enumeration ---------- *)
 
-let fold_paths _m f ~init ~f:step =
-  let m = f.man in
+let fold_paths m f ~init ~f:step =
+  let root = own m f in
   let rec go acc path e =
     let n = e lsr 1 and c = e land 1 in
     if n = 0 then if c = 0 then step acc (List.rev path) else acc
@@ -635,10 +642,10 @@ let fold_paths _m f ~init ~f:step =
       go acc ((v, true) :: path) (m.nhi.(n) lxor c)
     end
   in
-  go init [] f.e
+  go init [] root
 
-let to_expr _m f =
-  let m = f.man in
+let to_expr m f =
+  let root = own m f in
   let memo = Hashtbl.create 64 in
   let rec go e =
     if e = e_true then Expr.tru
@@ -657,7 +664,48 @@ let to_expr _m f =
         Hashtbl.add memo e r;
         r
   in
-  go f.e
+  go root
+
+(* ---------- compaction ---------- *)
+
+(* The store never frees a node, so a long-lived manager keeps every
+   intermediate result.  [compact] keeps only what [roots] reach: a
+   node's children were created before it, so renumbering the survivors
+   in increasing index order keeps children below parents and lets each
+   node move down into its new slot without overwriting one not yet
+   moved. *)
+let compact m roots =
+  let roots = List.map (own m) roots in
+  (* [next.(n)] is 0 for a dead node, else its new index (1 while only
+     marked). *)
+  let next = Array.make m.n_nodes 0 in
+  let rec mark e =
+    let n = e lsr 1 in
+    if n <> 0 && next.(n) = 0 then begin
+      next.(n) <- 1;
+      mark m.nlo.(n);
+      mark m.nhi.(n)
+    end
+  in
+  List.iter mark roots;
+  let remap e = (next.(e lsr 1) * 2) lor (e land 1) in
+  let live = ref 1 in
+  for n = 1 to m.n_nodes - 1 do
+    if next.(n) <> 0 then begin
+      let k = !live in
+      next.(n) <- k;
+      m.nlvl.(k) <- m.nlvl.(n);
+      m.nlo.(k) <- remap m.nlo.(n);
+      m.nhi.(k) <- remap m.nhi.(n);
+      incr live
+    end
+  done;
+  m.n_nodes <- !live;
+  m.uocc <- !live - 1;
+  Array.fill m.utab 0 (Array.length m.utab) 0;
+  fill_unique m;
+  clear_caches m;
+  List.map (fun e -> wrap m (remap e)) roots
 
 (* ---------- dynamic variable reordering (Rudell sifting) ---------- *)
 

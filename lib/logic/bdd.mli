@@ -24,7 +24,8 @@ type man
 
 type t
 (** A BDD (an edge into a manager's node store), valid within the manager
-    that created it. *)
+    that created it.  Every operation that takes a manager raises
+    [Invalid_argument] when handed a [t] from a different one. *)
 
 val manager : ?order:int array -> unit -> man
 (** Fresh manager.  [order] fixes the initial variable order as for
@@ -77,6 +78,20 @@ val reorder : man -> t list -> t list
     returned roots never exceeds that of [roots]; if sifting cannot
     improve it, the store and order are left untouched.  Any other [t]
     values from this manager are invalidated. *)
+
+val compact : man -> t list -> t list
+(** [compact m roots] frees every node not reachable from [roots] and
+    returns the roots re-expressed in the compacted store (same
+    functions, same sizes, in the same order).  The survivors are
+    renumbered in place, the unique table is rehashed and the computed
+    cache cleared; levels and the variable order are unchanged, so
+    functions built afterwards are canonical under the same order, and
+    {!node_count} drops to the number of nodes the roots reach (the peak
+    is kept).  The manager never collects garbage otherwise: a long
+    session calls this between units of work to keep the store at the
+    size of what it still holds.  As with {!reorder}, every other [t]
+    value from this manager is invalidated.  Raises [Invalid_argument]
+    if a root belongs to another manager. *)
 
 (** {1 Construction} *)
 

@@ -243,10 +243,15 @@ let expr_bdd man fanin_bdds e =
   in
   build e
 
-(* Shared builder behind the [global_bdds*] entry points.  [keep] limits
-   the build to a cone; [override] replaces one node's function wholesale. *)
-let build_global_bdds t man ~keep ~override =
+(* Shared builder behind [global_bdds], [global_cone] and [output_bdd]:
+   the [keep] nodes in topological order, each from its fanins' entries
+   (built here, else looked up in [outside]) unless [override] gives it
+   wholesale. *)
+let build_global_bdds t man ~keep ~outside ~override =
   let bdds = Hashtbl.create (Hashtbl.length t.nodes) in
+  let find i =
+    match Hashtbl.find_opt bdds i with Some f -> f | None -> outside i
+  in
   List.iteri
     (fun k i -> if keep i then Hashtbl.replace bdds i (Bdd.var man k))
     (inputs t);
@@ -260,24 +265,31 @@ let build_global_bdds t man ~keep ~override =
           match override i with
           | Some f -> Hashtbl.replace bdds i f
           | None ->
-            let fanin_bdds =
-              Array.of_list (List.map (Hashtbl.find bdds) n.nfanins)
-            in
+            let fanin_bdds = Array.of_list (List.map find n.nfanins) in
             Hashtbl.replace bdds i (expr_bdd man fanin_bdds n.nfunc)))
     (topo_order t);
   bdds
 
+let no_outside _ = raise Not_found
+let no_override _ = None
+
 let global_bdds t man =
   adopt_input_order t man;
-  build_global_bdds t man ~keep:(fun _ -> true) ~override:(fun _ -> None)
+  build_global_bdds t man ~keep:(fun _ -> true) ~outside:no_outside
+    ~override:no_override
 
-let global_bdds_with t man ~node override =
-  if is_input t node then invalid_arg "Network.global_bdds_with: input node";
-  (* The order goes in before [override] can create its own variables. *)
-  adopt_input_order t man;
-  let f = override () in
-  build_global_bdds t man
-    ~keep:(fun _ -> true)
+let global_cone t man globals ~node f =
+  if is_input t node then invalid_arg "Network.global_cone: input node";
+  let cone = Hashtbl.create 64 in
+  let rec mark i =
+    if not (Hashtbl.mem cone i) then begin
+      Hashtbl.replace cone i ();
+      List.iter mark (Option.value (Hashtbl.find_opt t.rev i) ~default:[])
+    end
+  in
+  mark node;
+  build_global_bdds t man ~keep:(Hashtbl.mem cone)
+    ~outside:(Hashtbl.find globals)
     ~override:(fun i -> if i = node then Some f else None)
 
 let output_bdd t man output_name =
@@ -295,8 +307,8 @@ let output_bdd t man output_name =
     in
     mark root;
     let bdds =
-      build_global_bdds t man ~keep:(Hashtbl.mem cone)
-        ~override:(fun _ -> None)
+      build_global_bdds t man ~keep:(Hashtbl.mem cone) ~outside:no_outside
+        ~override:no_override
     in
     Hashtbl.find bdds root
 

@@ -94,17 +94,22 @@ val global_bdds : t -> Bdd.man -> (id, Bdd.t) Hashtbl.t
     variables), the {!bdd_input_order} interleaved order is installed
     first; pre-seeded managers are left untouched. *)
 
-val global_bdds_with :
-  t -> Bdd.man -> node:id -> (unit -> Bdd.t) -> (id, Bdd.t) Hashtbl.t
-(** [global_bdds_with t man ~node f] is {!global_bdds} with node [node]'s
-    global function replaced by [f ()], so every node downstream of [node]
-    is computed over that override.  A free BDD variable as the override is
-    the standard setup for observability don't-care extraction; a candidate
-    implementation's global function gives the network as it would be with
-    that candidate installed, without mutating it.  [f] is called once,
-    after the interleaved order has been installed on a pristine [man], so
-    variables it creates land below the primary inputs.  Raises
-    [Invalid_argument] if [node] is an input. *)
+val global_cone :
+  t -> Bdd.man -> (id, Bdd.t) Hashtbl.t -> node:id -> Bdd.t ->
+  (id, Bdd.t) Hashtbl.t
+(** [global_cone t man globals ~node f] rebuilds the transitive fanout of
+    [node] with [node]'s global function replaced by [f]: the result maps
+    [node] to [f] and every node downstream of it to its global function
+    over that override, computed from the entries of [globals] (a
+    {!global_bdds} table in [man], or one kept current the same way) for
+    fanins outside the cone.  Nodes outside the cone are absent; their
+    functions cannot depend on the override.  The constants as [f] give
+    the two cofactors behind observability don't-cares; a candidate
+    implementation's global function prices the network as it would be
+    with that candidate installed, without mutating it; the node's own
+    new function after an edit gives exactly the entries of [globals]
+    that the edit changed.  Raises [Invalid_argument] if [node] is an
+    input. *)
 
 val expr_bdd : Bdd.man -> Bdd.t array -> Expr.t -> Bdd.t
 (** [expr_bdd man fanins e] is the BDD of local function [e] with

@@ -5,7 +5,8 @@ let observability_condition net root =
   if npi > 18 then
     invalid_arg "Guard.observability_condition: more than 18 primary inputs";
   let man = Bdd.manager () in
-  let odc = Dontcare.global_odc net man root ~free_var:npi in
+  let globals = Network.global_bdds net man in
+  let odc = Dontcare.global_odc net man globals root in
   (* BDD paths give a compact disjoint cover directly; minimize cleans up
      the path fragmentation. *)
   Cover.to_expr (Cover.minimize (Cover.of_bdd npi man odc))

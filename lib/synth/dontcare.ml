@@ -9,28 +9,70 @@ type policy =
   | For_power of float array
   | For_power_fanout of float array
 
-let global_odc net man n ~free_var =
-  let free =
-    Network.global_bdds_with net man ~node:n (fun () -> Bdd.var man free_var)
-  in
+(* The product of [not (d o / d z)] over the outputs [o], with z free in
+   [n]'s place, taken as [o|z=0 xnor o|z=1]: the fanout cone is rebuilt
+   once with each constant in [n]'s place, which gives both cofactors of
+   the z-cone without building functions of z.  Outputs outside the cone
+   cannot see z and leave the product unchanged. *)
+let global_odc net man globals n =
+  let cone f = Network.global_cone net man globals ~node:n f in
+  let lo = cone (Bdd.fls man) and hi = cone (Bdd.tru man) in
   List.fold_left
     (fun acc (_, o) ->
-      let sens = Bdd.boolean_difference man (Hashtbl.find free o) free_var in
-      Bdd.and_ man acc (Bdd.not_ man sens))
+      match Hashtbl.find_opt lo o with
+      | None -> acc
+      | Some f0 -> Bdd.and_ man acc (Bdd.xnor man f0 (Hashtbl.find hi o)))
     (Bdd.tru man) (Network.outputs net)
 
-(* The don't-cares of [n] together with the manager and global table they
-   were computed in, so candidates can be scored without rebuilding them. *)
-let analyze net n =
-  if Network.is_input net n then invalid_arg "Dontcare.compute: input node";
-  let fanins = Network.fanins net n in
-  let k = List.length fanins in
-  if k > 16 then invalid_arg "Dontcare.compute: more than 16 fanins";
-  let npi = List.length (Network.inputs net) in
+(* One BDD session per sweep: a manager holding the global function of
+   every node of the network as it currently is.  Variables: 0..npi-1 are
+   the primary inputs, in the interleaved order; the per-node fanin
+   variables y are appended below them in index order, exactly as in a
+   fresh manager, so every BDD is the one a fresh per-node analysis would
+   build. *)
+type session = {
+  net : Network.t;
+  man : Bdd.man;
+  globals : (Network.id, Bdd.t) Hashtbl.t;
+  npi : int;
+  mutable compacted : int; (* live nodes after the last compaction *)
+}
+
+(* Compact once the store holds this many times what it held after the
+   last compaction. *)
+let compact_factor = 2
+
+let open_session net =
   let man = Bdd.manager () in
   let globals = Network.global_bdds net man in
-  (* Variables: 0..npi-1 are primary inputs; npi..npi+k-1 stand for the
-     fanin values y; npi+k is the free variable z. *)
+  { net; man; globals; npi = List.length (Network.inputs net);
+    compacted = Bdd.node_count man }
+
+(* Global function of [e] installed at [n], over [n]'s fanins. *)
+let global_of s n e =
+  Network.expr_bdd s.man
+    (Array.of_list (List.map (Hashtbl.find s.globals) (Network.fanins s.net n)))
+    e
+
+let refresh s n =
+  Hashtbl.iter (Hashtbl.replace s.globals)
+    (Network.global_cone s.net s.man s.globals ~node:n
+       (global_of s n (Network.func s.net n)))
+
+let maybe_compact s =
+  if Bdd.node_count s.man > compact_factor * s.compacted then begin
+    let ids, roots =
+      Hashtbl.fold (fun i f (is, fs) -> (i :: is, f :: fs)) s.globals ([], [])
+    in
+    List.iter2 (Hashtbl.replace s.globals) ids (Bdd.compact s.man roots);
+    s.compacted <- Bdd.node_count s.man
+  end
+
+let analyze s n =
+  let net = s.net and man = s.man and npi = s.npi in
+  let fanins = Network.fanins net n in
+  let k = List.length fanins in
+  (* Variables npi..npi+k-1 stand for the fanin values y. *)
   let yvar j = npi + j in
   let pis = List.init npi (fun i -> i) in
   (* Consistency relation C(x, y). *)
@@ -38,12 +80,12 @@ let analyze net n =
     Bdd.and_list man
       (List.mapi
          (fun j fi ->
-           Bdd.xnor man (Bdd.var man (yvar j)) (Hashtbl.find globals fi))
+           Bdd.xnor man (Bdd.var man (yvar j)) (Hashtbl.find s.globals fi))
          fanins)
   in
   let sdc = Bdd.not_ man (Bdd.exists man pis consistency) in
-  (* Observability: outputs as functions of x and z. *)
-  let odc_global = global_odc net man n ~free_var:(npi + k) in
+  (* Observability: where no output can see [n]. *)
+  let odc_global = global_odc net man s.globals n in
   (* y is a local ODC iff every x consistent with y is globally
      unobservable; the fused relational product skips the intermediate
      consistency∧observable conjunction. *)
@@ -59,11 +101,39 @@ let analyze net n =
             else false))
   in
   let local_onset = Truth_table.of_expr k (Network.func net n) in
-  (man, globals, { node = n; local_onset; dontcare = tt_of dc_bdd })
+  { node = n; local_onset; dontcare = tt_of dc_bdd }
+
+(* The sweep driver: analyze each node in the session, let [visit] act on
+   it, and bring the session up to date with whatever [visit] installed
+   before the next node is analyzed. *)
+let run_sweep net nodes visit =
+  let s = open_session net in
+  List.iter
+    (fun n ->
+      if
+        (not (Network.is_input net n))
+        && List.length (Network.fanins net n) <= 16
+      then begin
+        let func = Network.func net n and fanins = Network.fanins net n in
+        visit s (analyze s n);
+        if
+          not
+            (Expr.equal func (Network.func net n)
+            && fanins = Network.fanins net n)
+        then refresh s n;
+        maybe_compact s
+      end)
+    nodes
+
+let sweep net nodes visit = run_sweep net nodes (fun _ d -> visit d)
 
 let compute net n =
-  let _, _, d = analyze net n in
-  d
+  if Network.is_input net n then invalid_arg "Dontcare.compute: input node";
+  if List.length (Network.fanins net n) > 16 then
+    invalid_arg "Dontcare.compute: more than 16 fanins";
+  let result = ref None in
+  sweep net [ n ] (fun d -> result := Some d);
+  Option.get !result
 
 let minimized_candidates d =
   let care = Truth_table.not_ d.dontcare in
@@ -110,59 +180,52 @@ let tfo_cost net man n probs =
         acc +. (Network.cap net i *. 2.0 *. p *. (1.0 -. p)))
       fanout 0.0
 
-let optimize_node_unchecked net policy n =
-  if Network.is_input net n || List.length (Network.fanins net n) > 16 then
-    false
-  else begin
-    let man, globals, d = analyze net n in
-    let global_of cover =
-      Network.expr_bdd man
-        (Array.of_list (List.map (Hashtbl.find globals) (Network.fanins net n)))
-        (Cover.to_expr cover)
-    in
-    let current_lits = Expr.literal_count (Network.func net n) in
-    (* [score] prices a candidate; [improves s e] decides whether the
-       winner, of score [s] and expression [e], beats the incumbent. *)
-    let score, improves =
-      match policy with
-      | For_area ->
-        ( (fun c -> float_of_int (Cover.literal_count c)),
-          fun _ e -> Expr.literal_count e < current_lits )
-      | For_power probs ->
-        let old = activity man probs (Hashtbl.find globals n) in
-        ( (fun c -> activity man probs (global_of c)),
-          fun s e ->
-            s < old -. 1e-12
-            || (Float.abs (s -. old) <= 1e-12
-               && Expr.literal_count e < current_lits) )
-      | For_power_fanout probs ->
-        let cost = tfo_cost net man n probs in
-        let with_cand c =
-          Network.global_bdds_with net man ~node:n (fun () -> global_of c)
-        in
-        ( (fun c -> cost (with_cand c)),
-          fun s _ -> s < cost globals -. 1e-12 )
-    in
-    let better (s, l, _) (bs, bl, _) =
-      s < bs -. 1e-12 || (Float.abs (s -. bs) <= 1e-12 && l < bl)
-    in
-    let scored =
-      List.map
-        (fun c -> (score c, Cover.literal_count c, c))
-        (minimized_candidates d)
-    in
-    let s, _, cover =
-      List.fold_left
-        (fun best x -> if better x best then x else best)
-        (List.hd scored) (List.tl scored)
-    in
-    let expr = Cover.to_expr cover in
-    if improves s expr && not (Expr.equal expr (Network.func net n)) then begin
-      Network.replace_func net n expr (Network.fanins net n);
-      true
-    end
-    else false
+(* Re-implement [d]'s node under [policy] if a candidate improves it. *)
+let improve s policy d =
+  let net = s.net and man = s.man and globals = s.globals and n = d.node in
+  let current_lits = Expr.literal_count (Network.func net n) in
+  let global_of cover = global_of s n (Cover.to_expr cover) in
+  (* [score] prices a candidate; [improves s e] decides whether the
+     winner, of score [s] and expression [e], beats the incumbent. *)
+  let score, improves =
+    match policy with
+    | For_area ->
+      ( (fun c -> float_of_int (Cover.literal_count c)),
+        fun _ e -> Expr.literal_count e < current_lits )
+    | For_power probs ->
+      let old = activity man probs (Hashtbl.find globals n) in
+      ( (fun c -> activity man probs (global_of c)),
+        fun s e ->
+          s < old -. 1e-12
+          || (Float.abs (s -. old) <= 1e-12
+             && Expr.literal_count e < current_lits) )
+    | For_power_fanout probs ->
+      let cost = tfo_cost net man n probs in
+      let with_cand c =
+        Network.global_cone net man globals ~node:n (global_of c)
+      in
+      ( (fun c -> cost (with_cand c)),
+        fun s _ -> s < cost globals -. 1e-12 )
+  in
+  let better (s, l, _) (bs, bl, _) =
+    s < bs -. 1e-12 || (Float.abs (s -. bs) <= 1e-12 && l < bl)
+  in
+  let scored =
+    List.map
+      (fun c -> (score c, Cover.literal_count c, c))
+      (minimized_candidates d)
+  in
+  let s, _, cover =
+    List.fold_left
+      (fun best x -> if better x best then x else best)
+      (List.hd scored) (List.tl scored)
+  in
+  let expr = Cover.to_expr cover in
+  if improves s expr && not (Expr.equal expr (Network.func net n)) then begin
+    Network.replace_func net n expr (Network.fanins net n);
+    true
   end
+  else false
 
 (* The don't-care computation guarantees equivalence by construction; the
    [?verify] argument re-proves it independently (miter + SAT, or BDDs),
@@ -179,14 +242,14 @@ let checked ?verify ~pass net run =
 let optimize_node ?verify net policy n =
   check_input_probs net policy;
   checked ?verify ~pass:"Dontcare.optimize_node" net (fun () ->
-      optimize_node_unchecked net policy n)
+      let changed = ref false in
+      run_sweep net [ n ] (fun s d -> changed := improve s policy d);
+      !changed)
 
 let optimize ?verify net policy =
   check_input_probs net policy;
   checked ?verify ~pass:"Dontcare.optimize" net (fun () ->
-      List.fold_left
-        (fun changed i ->
-          if Network.is_input net i then changed
-          else if optimize_node_unchecked net policy i then changed + 1
-          else changed)
-        0 (Network.topo_order net))
+      let changed = ref 0 in
+      run_sweep net (Network.topo_order net) (fun s d ->
+          if improve s policy d then incr changed);
+      !changed)

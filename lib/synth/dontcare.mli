@@ -22,17 +22,41 @@ type dc = {
 }
 
 val compute : Network.t -> Network.id -> dc
-(** Exact local don't-cares of one node.  Raises [Invalid_argument] on an
-    input node or a node with more than 16 fanins. *)
+(** Exact local don't-cares of one node: a one-node {!sweep}, so a fresh
+    manager per call.  Raises [Invalid_argument] on an input node or a
+    node with more than 16 fanins. *)
 
-val global_odc : Network.t -> Bdd.man -> Network.id -> free_var:int -> Bdd.t
-(** [global_odc net man n ~free_var] is the global observability
-    don't-care of node [n]: the conjunction over all primary outputs [o] of
-    [not (d o / d z)], where [z] (BDD variable [free_var]) replaces [n]'s
-    global function (see {!Network.global_bdds_with}).  It is a function of
-    the primary inputs (variables [0..npi-1]) and [z], true exactly where
-    no output can see [n].  Shared by {!compute} and
-    [Guard.observability_condition]. *)
+val sweep : Network.t -> Network.id list -> (dc -> unit) -> unit
+(** [sweep net nodes visit] computes the don't-cares of every logic node
+    of [nodes] with at most 16 fanins (others are skipped), in list order,
+    and hands each to [visit] before moving on.  [visit] may re-implement
+    the node it is given (and only that node) with {!Network.replace_func};
+    each later node's don't-cares are those of the network as it is then,
+    equal to what {!compute} returns on it.
+
+    The whole sweep runs in one BDD session: one manager and one table of
+    every node's global function, built once.  A node's observability
+    don't-cares are built from its transitive fanout only
+    ({!global_odc}); when [visit] changes the node's function, the sweep
+    rebuilds that cone in the table ({!Network.global_cone}).  Between
+    nodes, once the manager holds twice the nodes it held after the last
+    compaction, {!Bdd.compact} shrinks it to the live table.  The
+    variable order is the one a fresh per-node manager would use, so the
+    results are identical. *)
+
+val global_odc :
+  Network.t -> Bdd.man -> (Network.id, Bdd.t) Hashtbl.t -> Network.id ->
+  Bdd.t
+(** [global_odc net man globals n] is the global observability don't-care
+    of node [n]: the conjunction over all primary outputs [o] of
+    [not (d o / d z)], where a free variable [z] replaces [n]'s global
+    function.  [globals] is the network's global table in [man]
+    ({!Network.global_bdds}).  Only [n]'s fanout cone is rebuilt over it,
+    once with [z = 0] and once with [z = 1] ({!Network.global_cone}):
+    [d o / d z] is the exclusive or of those two cofactors, and outputs
+    outside the cone cannot see [z].  The result is a function of the
+    primary inputs (variables [0..npi-1]), true exactly where no output
+    can see [n].  Shared by {!sweep} and [Guard.observability_condition]. *)
 
 val minimized_candidates : dc -> Cover.t list
 (** Two-level-minimized re-implementations of the node, one per don't-care
@@ -62,21 +86,22 @@ val optimize_node :
     (default {!Verify.default}) re-proves the equivalence independently
     and raises {!Verify.Failed} on a mismatch.
 
-    Every candidate is scored inside the BDD manager and global table the
-    node's don't-care analysis already built: a candidate's global function
-    comes from its fanins' entries, [For_power] takes its probability
-    directly, and [For_power_fanout] prices the transitive fanout on a
-    table with the node overridden by the candidate.  The network is only
-    written once, when the winner is installed.  All policies pick the
-    lowest score (literal count for [For_area]), ties within [1e-12]
-    going to fewer literals.
+    Every candidate is scored in the sweep's BDD session (see {!sweep}):
+    a candidate's global function comes from its fanins' entries in the
+    session's global table, [For_power] takes its probability directly,
+    and [For_power_fanout] prices the transitive fanout on
+    {!Network.global_cone} with the node overridden by the candidate.
+    The network is only written once, when the winner is installed.  All
+    policies pick the lowest score (literal count for [For_area]), ties
+    within [1e-12] going to fewer literals.
 
     Raises [Invalid_argument], before the network is touched, if a power
     policy's probability array does not have one entry per primary input
     or holds an entry outside the unit interval. *)
 
 val optimize : ?verify:Verify.mode -> Network.t -> policy -> int
-(** Apply {!optimize_node} to every logic node in topological order;
-    returns the number of changed nodes.  One verification at the end
-    covers the whole sweep.  Validates the policy's probabilities as
-    {!optimize_node} does, once, before the sweep starts. *)
+(** Apply {!optimize_node} to every logic node in topological order, as
+    one {!sweep}; returns the number of changed nodes.  One verification
+    at the end covers the whole sweep.  Validates the policy's
+    probabilities as {!optimize_node} does, once, before the sweep
+    starts. *)

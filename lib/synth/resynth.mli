@@ -27,8 +27,9 @@ val measured :
   Network.t ->
   trace:Stimulus.t ->
   result
-(** One topological sweep: for every logic node with at most [max_fanin]
-    (default 10, capped at 16) fanins, compute its don't-cares, install
+(** One topological {!Dontcare.sweep} (one BDD session for the whole
+    pass): for every logic node with at most [max_fanin] (default 10,
+    capped at 16) fanins, take its don't-cares, install
     each {!Dontcare.minimized_candidates} cover in turn, re-measure via
     {!Actsim.update}, and keep the strictly best implementation (the
     original wins ties).  The network is mutated in place and stays

@@ -219,6 +219,32 @@ let test_resynth_verified () =
   let r = Resynth.measured ~verify:`Bdd net ~trace in
   if r.Resynth.tried = 0 then Alcotest.fail "no candidates measured"
 
+(* Pinned results of the measured sweep on the 4x4 array multiplier and
+   three random networks under one fixed correlated trace.  Any drift in
+   the don't-cares the sweep sees, in candidate order or in the tie rule
+   shows up here. *)
+let test_resynth_pinned () =
+  let trace = gen_trace 7 ~n:128 in
+  let nets =
+    ("mult4", (Circuits.array_multiplier 4).Circuits.net)
+    :: List.map
+         (fun seed -> (Printf.sprintf "random%d" seed, gen_net seed ~gates:60))
+         [ 41; 42; 43 ]
+  in
+  List.iter2
+    (fun (name, net) (changed, tried, score, hash) ->
+      let r = Resynth.measured ~verify:`Off net ~trace in
+      Alcotest.(check int) (name ^ " changed") changed r.Resynth.changed;
+      Alcotest.(check int) (name ^ " tried") tried r.Resynth.tried;
+      Alcotest.(check string) (name ^ " final score") score
+        (Printf.sprintf "%h" r.Resynth.final_score);
+      Alcotest.(check int) (name ^ " hash") hash (Network.structural_hash net))
+    nets
+    [ (0, 29, "0x1.d972e5cb972e6p+3", 3391467124273209505);
+      (3, 84, "0x1.bdfbf7efdfbf8p+3", 4188289112653135936);
+      (0, 55, "0x1.16eddbb76eddcp+4", 2896506839275678236);
+      (5, 70, "0x1.17efdfbf7efep+4", 4315333810238982977) ]
+
 let suite =
   [
     test_incremental_matches_full;
@@ -229,4 +255,5 @@ let suite =
     quick "measured resynthesis: monotone, equivalent, mode-blind"
       test_resynth;
     quick "measured resynthesis under BDD verification" test_resynth_verified;
+    quick "measured resynthesis results pinned" test_resynth_pinned;
   ]

@@ -190,6 +190,87 @@ let prop_sift_multi =
           !ok)
         roots' [ e1; e2; e3 ])
 
+(* --- compaction --- *)
+
+(* Nodes reachable from [roots], counted through the public API only: a
+   node is a distinct function up to complement, its children are the
+   cofactors on its top variable (the order is the natural one here). *)
+let reachable_nodes m roots =
+  let seen = ref [] in
+  let rec go f =
+    if
+      (not (Bdd.is_const f))
+      && not
+           (List.exists
+              (fun g -> Bdd.equal g f || Bdd.equal g (Bdd.not_ m f))
+              !seen)
+    then begin
+      seen := f :: !seen;
+      let v = List.hd (Bdd.support f) in
+      go (Bdd.restrict m f v false);
+      go (Bdd.restrict m f v true)
+    end
+  in
+  List.iter go roots;
+  List.length !seen
+
+let prop_compact =
+  prop ~count:150 "compact keeps the kept roots and frees the rest"
+    QCheck2.Gen.(
+      list_size (int_range 1 5) (pair (gen_expr nvars) bool))
+    (fun exprs ->
+      let m = Bdd.manager () in
+      let built = List.map (fun (e, keep) -> (e, keep, Bdd.of_expr m e)) exprs in
+      let kept = List.filter (fun (_, keep, _) -> keep) built in
+      let prob v = float_of_int (v + 1) /. float_of_int (nvars + 2) in
+      let before =
+        List.map
+          (fun (_, _, f) -> (Bdd.size f, Bdd.probability m prob f))
+          kept
+      in
+      let kept' = Bdd.compact m (List.map (fun (_, _, f) -> f) kept) in
+      let live = Bdd.node_count m in
+      let same_functions =
+        List.for_all2
+          (fun (e, _, _) f' ->
+            let ok = ref true in
+            for code = 0 to (1 lsl nvars) - 1 do
+              if Bdd.eval f' (env_of_code code) <> Expr.eval (env_of_code code) e
+              then ok := false
+            done;
+            !ok)
+          kept kept'
+      in
+      let same_measures =
+        List.for_all2
+          (fun (size, p) f' ->
+            Bdd.size f' = size && Bdd.probability m prob f' = p)
+          before kept'
+      in
+      let exact_count = live = reachable_nodes m kept' in
+      (* The rehashed unique table must find every survivor again. *)
+      let rebuilt =
+        List.for_all2
+          (fun (e, _, _) f' -> Bdd.equal (Bdd.of_expr m e) f')
+          kept kept'
+      in
+      let foreign =
+        match Bdd.compact m [ Bdd.var (Bdd.manager ()) 0 ] with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      same_functions && same_measures && exact_count && rebuilt && foreign)
+
+let test_foreign_handles () =
+  let m = Bdd.manager () and other = Bdd.manager () in
+  let f = Bdd.of_expr other Expr.(var 0 &&& var 1) in
+  expect_invalid_arg "probability" (fun () ->
+      Bdd.probability m (fun _ -> 0.5) f);
+  expect_invalid_arg "fold_paths" (fun () ->
+      Bdd.fold_paths m f ~init:0 ~f:(fun n _ -> n + 1));
+  expect_invalid_arg "to_expr" (fun () -> Bdd.to_expr m f);
+  expect_invalid_arg "compact" (fun () -> Bdd.compact m [ f ])
+
 let test_sift_interleaves_adder () =
   (* Worst-case order for a ripple-carry sum bit: all a's above all b's.
      Sifting must find a near-interleaved order and collapse the BDD. *)
@@ -310,6 +391,7 @@ let suite =
     quick "order independence" test_order_independence;
     quick "network interleave" test_network_interleave;
     quick "sifting recovers adder order" test_sift_interleaves_adder;
+    quick "handles from another manager raise" test_foreign_handles;
     prop_and_or_xor;
     prop_ite;
     prop_quantifiers;
@@ -320,4 +402,5 @@ let suite =
     prop_cover;
     prop_sift_single;
     prop_sift_multi;
+    prop_compact;
   ]

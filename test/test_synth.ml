@@ -179,6 +179,54 @@ let test_odc_detected () =
   Alcotest.(check bool) "a=0,b=1 odc" true (Truth_table.get d.Dontcare.dontcare 0b10);
   Alcotest.(check bool) "a=1,b=0 care" false (Truth_table.get d.Dontcare.dontcare 0b01)
 
+(* One don't-care session per sweep, checked node by node against a fresh
+   manager: at every visited node the sweep's don't-cares must equal
+   [compute] on a copy of the network as it is at that moment.  The visit
+   installs one of the node's candidates, rotating through them, so later
+   nodes see a network whose global functions changed and the session
+   must have refreshed those cones.  The session also compacts its
+   manager on the way (10 and 22 times per sweep on the multipliers). *)
+let test_sweep_matches_fresh () =
+  let nets =
+    [ ("mult3", (Circuits.array_multiplier 3).Circuits.net);
+      ("mult4", (Circuits.array_multiplier 4).Circuits.net) ]
+    @ List.map
+        (fun seed ->
+          ( Printf.sprintf "random%d" seed,
+            Gen_comb.random (Lowpower.Rng.create seed)
+              { Gen_comb.default_shape with
+                Gen_comb.num_inputs = 7; num_gates = 25 } ))
+        [ 1; 2; 3; 4; 5 ]
+  in
+  List.iter
+    (fun (name, net) ->
+      let reference = Network.copy net in
+      let visited = ref 0 and installed = ref 0 in
+      Dontcare.sweep net (Network.topo_order net) (fun d ->
+          let n = d.Dontcare.node in
+          let fresh = Dontcare.compute (Network.copy net) n in
+          let label = Printf.sprintf "%s node %d" name n in
+          Alcotest.(check bool) (label ^ " dontcare") true
+            (Truth_table.equal fresh.Dontcare.dontcare d.Dontcare.dontcare);
+          Alcotest.(check bool) (label ^ " onset") true
+            (Truth_table.equal fresh.Dontcare.local_onset
+               d.Dontcare.local_onset);
+          let cover =
+            List.nth (Dontcare.minimized_candidates d) (!visited mod 3)
+          in
+          incr visited;
+          let e = Cover.to_expr cover in
+          if not (Expr.equal e (Network.func net n)) then begin
+            incr installed;
+            Network.replace_func net n e (Network.fanins net n)
+          end);
+      Alcotest.(check int) (name ^ " visits every logic node")
+        (Network.node_count net) !visited;
+      if !installed = 0 then Alcotest.failf "%s: sweep never edited" name;
+      Alcotest.(check bool) (name ^ " outputs preserved") true
+        (networks_equivalent reference net))
+    nets
+
 let test_optimize_preserves_outputs () =
   let r = rng () in
   for _ = 1 to 5 do
@@ -522,6 +570,7 @@ let suite =
     quick "power dc optimization safe and useful" test_optimize_power_preserves_and_helps;
     quick "fanout-aware dc policy (paper [19])" test_optimize_fanout_policy;
     quick "dc optimization results pinned" test_optimize_pinned;
+    quick "dc sweep session matches fresh managers" test_sweep_matches_fresh;
     quick "dc optimization rejects bad probabilities" test_optimize_rejects_bad_probs;
     quick "algebraic division" test_division;
     quick "kernels found" test_kernels_found;
