@@ -14,6 +14,7 @@ let () =
     print_endline
       "Low-power VLSI optimization toolkit - experiment harness (Devadas & \
        Malik, DAC'95 survey reproduction)";
+    print_endline (Lowpower.Config.to_string (Lowpower.Config.get ()));
     print_newline ();
     List.iter (fun (_, f) -> f ()) Experiments.all;
     Microbench.run ()

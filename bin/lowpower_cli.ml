@@ -10,6 +10,16 @@
 
 open Cmdliner
 
+(* The engine settings, parsed before any command is built (the --beam,
+   --domains and --portfolio defaults come from them); an invalid setting
+   stops the program here with the variable and its accepted values. *)
+let config =
+  match Lowpower.Config.get () with
+  | c -> c
+  | exception Invalid_argument msg ->
+    prerr_endline ("lowpower_cli: " ^ msg);
+    exit 2
+
 let build_circuit name width seed =
   match name with
   | "adder" -> (Circuits.ripple_adder width).Circuits.net
@@ -273,7 +283,7 @@ let check_run circuit_a circuit_b width seed mutate portfolio =
   in
   let stats = ref None in
   let verdict =
-    Cec.check ?portfolio ~on_stats:(fun st -> stats := Some st) a b
+    Cec.check ~portfolio ~on_stats:(fun st -> stats := Some st) a b
   in
   match verdict with
   | Cec.Equivalent ->
@@ -305,10 +315,10 @@ let check_cmd =
                    before checking (demonstrates a counterexample).")
   in
   let portfolio =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt int config.sat_portfolio
          & info [ "portfolio" ] ~docv:"N"
              ~doc:"Race $(docv) diversified solvers on the SAT phase \
-                   (default: LOWPOWER_SAT_PORTFOLIO, else sequential).")
+                   (1 = sequential; default from LOWPOWER_SAT_PORTFOLIO).")
   in
   Cmd.v
     (Cmd.info "check"
@@ -579,17 +589,17 @@ let rewrite_run workload taps width beam samples trace_len seed model coeffs
   in
   let trace = Gen_dfg.random_samples r dfg ~n:trace_len ~correlated:true () in
   let model =
-    if measured then Cost.Toggles
+    if measured then Some Cost.Toggles
     else
       match model with
-      | "auto" -> Cost.default_model ()
-      | "toggles" -> Cost.Toggles
-      | "independence" -> Cost.Independence
-      | "area" -> Cost.Area
+      | "auto" -> None
+      | "toggles" -> Some Cost.Toggles
+      | "independence" -> Some Cost.Independence
+      | "area" -> Some Cost.Area
       | other -> failwith ("unknown cost model " ^ other)
   in
   let memo = Memo.create () in
-  let res = Search.run ~beam ~samples ~memo ~model ~rng:r dfg ~trace in
+  let res = Search.run ~beam ~samples ~memo ?model ~rng:r dfg ~trace in
   let model_name =
     match res.Search.model with
     | Cost.Toggles -> "toggles"
@@ -638,10 +648,10 @@ let rewrite_cmd =
     Arg.(value & opt int 8 & info [ "taps" ] ~docv:"N" ~doc:"Filter taps.")
   in
   let beam =
-    Arg.(value & opt int (Search.default_beam ())
+    Arg.(value & opt int config.rewrite_beam
          & info [ "beam" ] ~docv:"N"
-             ~doc:"Beam width (1 = greedy; default \
-                   LOWPOWER_REWRITE_BEAM, else 4).")
+             ~doc:"Beam width (1 = greedy; default from \
+                   LOWPOWER_REWRITE_BEAM).")
   in
   let samples =
     Arg.(value & opt int 64
@@ -746,7 +756,7 @@ let batch_run jobs_file n seed domains verbose =
     | Some path -> parse_jobs path
     | None -> Batch.mixed_workload ~seed ~n ()
   in
-  let report = Batch.run ?domains jobs in
+  let report = Batch.run ~domains jobs in
   if verbose then
     Array.iter
       (fun (label, outcome) ->
@@ -788,10 +798,12 @@ let batch_cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload PRNG seed.")
   in
   let domains =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt int config.serve_domains
          & info [ "domains" ] ~docv:"N"
-             ~doc:"Worker domains (default: LOWPOWER_SERVE_DOMAINS, else \
-                   the recommended domain count).")
+             ~doc:(Printf.sprintf
+                     "Worker domains, at most %d used (default from \
+                      LOWPOWER_SERVE_DOMAINS)."
+                     Lowpower.Config.max_domains))
   in
   let verbose =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Print one line per job.")
@@ -803,6 +815,7 @@ let batch_cmd =
 
 let () =
   let doc = "low-power VLSI optimization toolkit (DAC'95 survey reproduction)" in
+  print_endline (Lowpower.Config.to_string config);
   exit
     (Cmd.eval
        (Cmd.group

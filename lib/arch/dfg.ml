@@ -140,22 +140,10 @@ let value_trace t samples =
 
 (* --- Canonical structural identity ----------------------------------- *)
 
-(* Same 63-bit SplitMix-style mixer as [Network.structural_hash]: identity
-   must depend only on structure reachable from the outputs — operators,
-   wiring, input/output names, word width — never on node ids or on the
-   order commutative operands were listed in. *)
-let h_mix z =
-  let z = (z * 0x1E3779B97F4A7C15) + 0x165667B19E3779F9 in
-  let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D in
-  let z = (z lxor (z lsr 31)) * 0x27D4EB2F165667C5 in
-  (z lxor (z lsr 30)) land max_int
-
-let h_combine h x = h_mix ((h * 0x100000001B3) lxor x)
-
-let h_string s =
-  let h = ref (h_mix (String.length s)) in
-  String.iter (fun c -> h := h_combine !h (Char.code c)) s;
-  !h
+(* Identity must depend only on structure reachable from the outputs —
+   operators, wiring, input/output names, word width — never on node ids
+   or on the order commutative operands were listed in. *)
+module H = Lowpower.Hash
 
 let node_hashes t =
   let hs = Array.make (max t.count 1) 0 in
@@ -164,15 +152,15 @@ let node_hashes t =
     let ah = List.map (fun a -> hs.(a)) n.nargs in
     hs.(i) <-
       (match n.nop, ah with
-      | Input nm, [] -> h_combine 3 (h_string nm)
-      | Const c, [] -> h_combine 5 (h_mix c)
+      | Input nm, [] -> H.combine 3 (H.string nm)
+      | Const c, [] -> H.combine 5 (H.mix c)
       (* Add and Mul fold operand hashes commutatively (sum mod 2^62), so
          swapping their operands leaves every downstream hash unchanged. *)
-      | Add, [ x; y ] -> h_combine 7 ((x + y) land max_int)
-      | Mul, [ x; y ] -> h_combine 11 ((x + y) land max_int)
-      | Sub, [ x; y ] -> h_combine (h_combine 13 x) y
-      | Shift_left k, [ x ] -> h_combine (h_combine 17 (h_mix k)) x
-      | Output nm, [ x ] -> h_combine (h_combine 19 (h_string nm)) x
+      | Add, [ x; y ] -> H.combine 7 ((x + y) land max_int)
+      | Mul, [ x; y ] -> H.combine 11 ((x + y) land max_int)
+      | Sub, [ x; y ] -> H.combine (H.combine 13 x) y
+      | Shift_left k, [ x ] -> H.combine (H.combine 17 (H.mix k)) x
+      | Output nm, [ x ] -> H.combine (H.combine 19 (H.string nm)) x
       | (Input _ | Const _ | Add | Sub | Mul | Shift_left _ | Output _), _ ->
         invalid_arg "Dfg.node_hashes: corrupt arity")
   done;
@@ -208,10 +196,10 @@ let structural_hash t =
   in
   let outs =
     List.fold_left
-      (fun acc (nm, i) -> (acc + h_combine (h_string nm) hs.(i)) land max_int)
+      (fun acc (nm, i) -> (acc + H.combine (H.string nm) hs.(i)) land max_int)
       0 (outputs t)
   in
-  h_combine (h_combine (h_mix t.word_width) all) outs
+  H.combine (H.combine (H.mix t.word_width) all) outs
 
 let equal a b =
   (* Tree-unfolded comparison modulo commutative operand order, memoized on

@@ -131,9 +131,8 @@ let simulated ?packed net ~rng ~input_probs ~vectors =
   check_probs net input_probs;
   if vectors <= 0 then invalid_arg "Probability.simulated: vectors <= 0";
   let c = Compiled.of_network net in
-  let use_packed =
-    match packed with Some b -> b | None -> Bitsim.enabled ()
-  in
+  let bitsim = (Lowpower.Config.get ()).bitsim in
+  let use_packed = Option.value packed ~default:bitsim in
   let counts =
     if use_packed then
       (* [split] advances the caller's generator once; the packed path then
@@ -155,9 +154,8 @@ let empirical ?packed net stream =
     stream;
   let c = Compiled.of_network net in
   let n = Compiled.size c in
-  let use_packed =
-    match packed with Some b -> b | None -> Bitsim.enabled ()
-  in
+  let bitsim = (Lowpower.Config.get ()).bitsim in
+  let use_packed = Option.value packed ~default:bitsim in
   let counts =
     if use_packed then begin
       let b = Bitsim.of_compiled c in

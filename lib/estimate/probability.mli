@@ -32,7 +32,7 @@ val simulated :
 (** Monte-Carlo estimate from random functional simulation — the reference
     that exact estimation must agree with (used in tests).
 
-    By default ([packed] unset and [LOWPOWER_BITSIM] not ["off"]) the
+    By default ([packed] unset and Bitsim on in [Lowpower.Config]) the
     network is compiled to the word-parallel engine ([Bitsim]): input
     planes are drawn 63 vectors at a time ([Rng.bernoulli_word], one
     independent [Rng.stream] per word block) and one-counts come from SWAR

@@ -314,46 +314,32 @@ let output_bdd t man output_name =
 
 (* --- Canonical structural hashing ---------------------------------- *)
 
-(* A 63-bit mixer in the SplitMix64 style (constants truncated to fit
-   OCaml's native int; wrap-around multiplication is deterministic).  The
-   hash must depend only on structure — input positions, local functions,
-   fanin wiring, output names, delay/cap annotations — and never on node
-   ids or hashtable iteration order, so that [copy]ing a network or
-   rebuilding it with a different id assignment yields the same hash. *)
-let h_mix z =
-  let z = (z * 0x1E3779B97F4A7C15) + 0x165667B19E3779F9 in
-  let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D in
-  let z = (z lxor (z lsr 31)) * 0x27D4EB2F165667C5 in
-  (z lxor (z lsr 30)) land max_int
-
-let h_combine h x = h_mix ((h * 0x100000001B3) lxor x)
-
-let h_float f = Int64.to_int (Int64.bits_of_float f) land max_int
-
-let h_string s =
-  let h = ref (h_mix (String.length s)) in
-  String.iter (fun c -> h := h_combine !h (Char.code c)) s;
-  !h
+(* The hash must depend only on structure — input positions, local
+   functions, fanin wiring, output names, delay/cap annotations — and
+   never on node ids or hashtable iteration order, so that [copy]ing a
+   network or rebuilding it with a different id assignment yields the same
+   hash. *)
+module H = Lowpower.Hash
 
 (* Expression hash with fanin-hash substitution: [Var v] contributes the
    hash of the node's [v]-th fanin, so structurally identical functions
    over structurally identical cones collide exactly. *)
 let rec h_expr fh = function
-  | Expr.Const b -> h_mix (if b then 3 else 5)
-  | Expr.Var v -> h_combine 11 fh.(v)
-  | Expr.Not e -> h_combine 13 (h_expr fh e)
-  | Expr.And es -> List.fold_left (fun a e -> h_combine a (h_expr fh e)) 17 es
-  | Expr.Or es -> List.fold_left (fun a e -> h_combine a (h_expr fh e)) 19 es
-  | Expr.Xor (a, b) -> h_combine (h_combine 23 (h_expr fh a)) (h_expr fh b)
+  | Expr.Const b -> H.mix (if b then 3 else 5)
+  | Expr.Var v -> H.combine 11 fh.(v)
+  | Expr.Not e -> H.combine 13 (h_expr fh e)
+  | Expr.And es -> List.fold_left (fun a e -> H.combine a (h_expr fh e)) 17 es
+  | Expr.Or es -> List.fold_left (fun a e -> H.combine a (h_expr fh e)) 19 es
+  | Expr.Xor (a, b) -> H.combine (H.combine 23 (h_expr fh a)) (h_expr fh b)
 
 let structural_hash t =
   let node_hash = Hashtbl.create (Hashtbl.length t.nodes) in
   List.iteri
     (fun k i ->
       let n = get t i in
-      let h = h_combine (h_mix (29 + k)) (h_float n.ncap) in
-      let h = h_combine h (h_float n.ndelay) in
-      Hashtbl.replace node_hash i (h_combine h (h_float n.nleak)))
+      let h = H.combine_float (H.mix (29 + k)) n.ncap in
+      let h = H.combine_float h n.ndelay in
+      Hashtbl.replace node_hash i (H.combine_float h n.nleak))
     (inputs t);
   List.iter
     (fun i ->
@@ -363,10 +349,10 @@ let structural_hash t =
           Array.of_list (List.map (Hashtbl.find node_hash) n.nfanins)
         in
         let h = h_expr fh n.nfunc in
-        let h = Array.fold_left h_combine (h_combine 31 h) fh in
-        let h = h_combine h (h_float n.ndelay) in
-        let h = h_combine h (h_float n.ncap) in
-        Hashtbl.replace node_hash i (h_combine h (h_float n.nleak))
+        let h = Array.fold_left H.combine (H.combine 31 h) fh in
+        let h = H.combine_float h n.ndelay in
+        let h = H.combine_float h n.ncap in
+        Hashtbl.replace node_hash i (H.combine_float h n.nleak)
       end)
     (topo_order t);
   (* Nodes and outputs are folded in commutatively (sum mod 2^62), so the
@@ -379,12 +365,12 @@ let structural_hash t =
   let outs =
     List.fold_left
       (fun acc (nm, i) ->
-        (acc + h_combine (h_string nm) (Hashtbl.find node_hash i)) land mask)
+        (acc + H.combine (H.string nm) (Hashtbl.find node_hash i)) land mask)
       0 (outputs t)
   in
-  let h = h_mix (List.length t.ins) in
-  let h = h_combine h all_nodes in
-  h_combine h outs
+  let h = H.mix (List.length t.ins) in
+  let h = H.combine h all_nodes in
+  H.combine h outs
 
 let literal_count t =
   Hashtbl.fold

@@ -201,11 +201,6 @@ let drain_bwd t =
     end
   done
 
-let env_mode () =
-  match Sys.getenv_opt "LOWPOWER_STA" with
-  | Some "full" -> Full
-  | _ -> Incremental
-
 let critical_delay t =
   let d = ref 0.0 in
   Array.iter
@@ -227,7 +222,8 @@ let worst_slack t =
 let create ?mode ?required g delays =
   if Array.length delays <> g.size then
     invalid_arg "Sta.create: delays length does not match graph size";
-  let mode = match mode with Some m -> m | None -> env_mode () in
+  let full = (Lowpower.Config.get ()).sta = `Full in
+  let mode = Option.value mode ~default:(if full then Full else Incremental) in
   let topo_pos = Array.make g.size (-1) in
   Array.iteri (fun p x -> topo_pos.(x) <- p) g.topo;
   let is_sink = Array.make g.size false in

@@ -22,8 +22,8 @@
     same left-to-right fold a full pass performs), so the incremental
     path reproduces bit-identical arrays.  The full recompute is
     retained as the differential oracle — force it for every update
-    with [mode = Full] or the environment variable [LOWPOWER_STA=full]
-    (the sixth CI pass). *)
+    with [mode = Full] or, for every engine that does not pin it, with
+    [sta] of [Lowpower.Config] (the sixth CI pass). *)
 
 (** Topology snapshot the engine runs over.  Indices are an arbitrary
     dense id space [0 .. size-1]; entries not reachable from [topo] are
@@ -65,9 +65,8 @@ type stats = {
     node's own delay; sources contribute arrival [0.] regardless.
     [required] is the arrival limit applied at every sink; it defaults
     to the critical delay of the initial state, i.e. the tightest
-    constraint the starting point meets.  [mode] defaults to
-    [Incremental] unless [LOWPOWER_STA=full] is set in the
-    environment.
+    constraint the starting point meets.  [mode] defaults to [sta] of
+    [Lowpower.Config].
 
     Required times are materialized lazily on the first query that
     needs them; engines used only for arrivals/critical delay never pay

@@ -2,21 +2,18 @@
 
     The candidate is elaborated ({!Elaborate.to_network}) and costed
     under one of three models:
-    - {!Toggles} (the default while [Bitsim] is enabled): settled
-      gate-level transitions over the supplied word trace, measured by
-      [Bitsim.count_transitions] and weighted by node capacitance — the
-      "measured activity" signal of Simopt-Power;
-    - {!Independence}: the model-based fallback CI forces with
-      [LOWPOWER_BITSIM=off] — empirical per-bit input probabilities
-      propagated by the independence estimate
+    - {!Toggles} ({!Search.run}'s default while [Lowpower.Config]
+      enables Bitsim): settled gate-level transitions over the supplied
+      word trace, measured by [Bitsim.count_transitions] and weighted by
+      node capacitance — the "measured activity" signal of Simopt-Power;
+    - {!Independence}: the model-based fallback, {!Search.run}'s
+      default when [Lowpower.Config] turns Bitsim off — empirical
+      per-bit input probabilities propagated by the independence estimate
       ([Activity.zero_delay ~exact:false]), capacitance-weighted;
     - {!Area}: literal count, trace-blind — the baseline E23 compares
       activity-driven search against. *)
 
 type model = Toggles | Independence | Area
-
-val default_model : unit -> model
-(** {!Toggles}, or {!Independence} when [LOWPOWER_BITSIM=off]. *)
 
 val fingerprint :
   ?inputs:string list -> model -> (string * int) list list -> int
@@ -25,13 +22,13 @@ val fingerprint :
     second half of the [Memo.dfg_activity] key. *)
 
 val of_network :
-  ?model:model -> Network.t -> trace:(string * int) list list -> float
+  model:model -> Network.t -> trace:(string * int) list list -> float
 (** Cost an already-elaborated netlist.  Raises [Invalid_argument] on an
     empty trace (except under {!Area}, which ignores it). *)
 
 val of_dfg :
   ?memo:Memo.t ->
-  ?model:model ->
+  model:model ->
   ?inputs:string list ->
   Dfg.t ->
   trace:(string * int) list list ->

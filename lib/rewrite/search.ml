@@ -40,24 +40,25 @@ type result = {
   beam : int;
 }
 
-let default_beam () =
-  match Sys.getenv_opt "LOWPOWER_REWRITE_BEAM" with
-  | None -> 4
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 4)
-
 type state = { g : Dfg.t; c : float; trail : step list (* reversed *) }
 
 exception Undecided_proof
 
 let run ?(rules = Rules.all) ?beam ?(max_steps = 24) ?(patience = 2)
-    ?(samples = 64) ?(sat_budget = 60_000) ?memo ?model ~rng dfg ~trace =
-  let beam = match beam with Some b -> max 1 b | None -> default_beam () in
-  let model = match model with Some m -> m | None -> Cost.default_model () in
+    ?(samples = 64) ?(sat_budget = 60_000) ?(memo = Memo.create ()) ?model ~rng
+    dfg ~trace =
+  let cfg = Lowpower.Config.get () in
+  let beam = max 1 (Option.value beam ~default:cfg.rewrite_beam) in
+  let model =
+    match model with
+    | Some m -> m
+    | None -> if cfg.bitsim then Cost.Toggles else Cost.Independence
+  in
   (* Every candidate is elaborated and costed over the original input
      set, so input positions line up for [Cec] and input-pin activity is
      charged identically across candidates. *)
   let inputs = List.sort compare (List.map fst (Dfg.inputs dfg)) in
-  let cost g = Cost.of_dfg ?memo ~model ~inputs g ~trace in
+  let cost g = Cost.of_dfg ~memo ~model ~inputs g ~trace in
   let elaborate g = Elaborate.to_network ~inputs g in
   let base_net = elaborate dfg in
   let sess = Cec.session base_net in
@@ -151,11 +152,7 @@ let run ?(rules = Rules.all) ?beam ?(max_steps = 24) ?(patience = 2)
         | Elaborate.Counterexample vec -> Cec.Counterexample vec
         | Elaborate.Undecided -> raise Undecided_proof
       in
-      match
-        (match memo with
-        | Some m -> Memo.check_with m base_net (elaborate cand) prove
-        | None -> prove ())
-      with
+      match Memo.check_with memo base_net (elaborate cand) prove with
       | Cec.Equivalent ->
         incr proofs;
         `Proved

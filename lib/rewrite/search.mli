@@ -43,10 +43,6 @@ type result = {
   beam : int;
 }
 
-val default_beam : unit -> int
-(** [LOWPOWER_REWRITE_BEAM] (min 1; [1] = greedy), default 4; read per
-    call so tests can flip it mid-process. *)
-
 val run :
   ?rules:Rules.rule list ->
   ?beam:int ->
@@ -60,12 +56,15 @@ val run :
   Dfg.t ->
   trace:(string * int) list list ->
   result
-(** Search from [dfg] under the word [trace].  [beam] defaults to
-    {!default_beam}; [max_steps] (default 24) bounds the depth;
+(** Search from [dfg] under the word [trace].  [beam] (at least 1;
+    [1] = greedy) defaults to [rewrite_beam] of [Lowpower.Config];
+    [max_steps] (default 24) bounds the depth;
     [patience] (default 2) stops after that many frontier advances
     without improving the best cost; [samples] (default 64) sets the
     random-execution sample count threaded to [Transform.equivalent];
     [sat_budget] (default 60000) bounds each SAT call's conflicts — a
     candidate left undecided is skipped, never applied and never
-    memoized; [memo] caches candidate costs and CEC verdicts across and
-    within runs; [model] defaults to {!Cost.default_model}. *)
+    memoized; [memo] (default: a fresh cache private to this run) caches
+    candidate costs and CEC verdicts across and within runs; [model]
+    defaults to [Cost.Toggles], or [Cost.Independence] when
+    [Lowpower.Config] turns Bitsim off. *)

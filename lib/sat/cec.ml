@@ -11,10 +11,9 @@ let validate a b =
   if output_names a <> output_names b then
     invalid_arg "Cec: output name sets differ"
 
-let portfolio_default () =
-  match Sys.getenv_opt "LOWPOWER_SAT_PORTFOLIO" with
-  | Some v -> ( match int_of_string_opt v with Some n when n > 1 -> n | _ -> 1)
-  | None -> 1
+let lanes = function
+  | Some n -> max 1 n
+  | None -> (Lowpower.Config.get ()).sat_portfolio
 
 (* Lane diversification for {!Solver.solve_portfolio}: lane 0 is the
    stock configuration (so a 1-lane portfolio is the sequential solver),
@@ -132,9 +131,7 @@ let encode_miters s a b =
 
 let check ?(rounds = 4) ?(seed = 1) ?portfolio ?on_stats a b =
   validate a b;
-  let lanes =
-    match portfolio with Some n -> max 1 n | None -> portfolio_default ()
-  in
+  let lanes = lanes portfolio in
   let n = List.length (Network.inputs a) in
   let names = output_names a in
   let rng = Lowpower.Rng.create seed in
@@ -236,9 +233,7 @@ let satisfiable ?portfolio ?on_stats net name =
   (match List.assoc_opt name (Network.outputs net) with
   | Some _ -> ()
   | None -> invalid_arg "Cec.satisfiable: unknown output");
-  let lanes =
-    match portfolio with Some n -> max 1 n | None -> portfolio_default ()
-  in
+  let lanes = lanes portfolio in
   let probe = Solver.create () in
   let env = Cnf.add_network probe net in
   let l = Cnf.lit_of_output env name in

@@ -22,10 +22,10 @@
     negated, then reclaimed by {!Solver.simplify}) afterwards, so learned
     clauses accumulate across obligations instead of being rebuilt.
     {e Portfolios} race [N] diversified solvers on one hard query via
-    {!Solver.solve_portfolio}; the lane count defaults to the
-    [LOWPOWER_SAT_PORTFOLIO] environment variable (unset or [<= 1] means
-    sequential).  The one-shot path is the oracle the session path is
-    property-tested against. *)
+    {!Solver.solve_portfolio}; the lane count defaults to
+    [sat_portfolio] of [Lowpower.Config] (1, sequential, unless
+    [LOWPOWER_SAT_PORTFOLIO] says otherwise).  The one-shot path is the
+    oracle the session path is property-tested against. *)
 
 type outcome =
   | Equivalent
@@ -44,7 +44,7 @@ val check :
 (** [check a b] decides whether every equally-named output computes the
     same function of the primary inputs.  [rounds] (default 4) sets the
     number of 63-vector random simulation passes; [seed] their stream.
-    [portfolio] (default: [LOWPOWER_SAT_PORTFOLIO]) races that many
+    [portfolio] (default from [Lowpower.Config]) races that many
     diversified solvers on the combined miter disjunction instead of
     solving per-output incrementally.  [on_stats] receives the solver
     counters when the SAT phase ran — the simulation filter

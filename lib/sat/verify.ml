@@ -2,13 +2,7 @@ type mode = [ `Bdd | `Sat | `Off ]
 
 exception Failed of string
 
-let default () : mode =
-  match Sys.getenv_opt "LOWPOWER_VERIFY" with
-  | Some "sat" -> `Sat
-  | Some "bdd" -> `Bdd
-  | _ -> `Off
-
-let resolve = function Some m -> m | None -> default ()
+let resolve = function Some m -> m | None -> (Lowpower.Config.get ()).verify
 
 type session = { base : Network.t; mutable cec : Cec.session option }
 

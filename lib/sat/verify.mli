@@ -7,10 +7,10 @@
     {!Cec} (random simulation + CDCL), [`Bdd] through the symbolic
     engine, [`Off] skips the check.
 
-    The session default comes from the [LOWPOWER_VERIFY] environment
-    variable ("sat", "bdd", anything else or unset means off), so a CI
-    run can force verification across the whole test suite without
-    touching call sites. *)
+    The default comes from [verify] of [Lowpower.Config]
+    ([LOWPOWER_VERIFY]: off, sat or bdd; unset means off), so a CI run
+    can force verification across the whole test suite without touching
+    call sites. *)
 
 type mode = [ `Bdd | `Sat | `Off ]
 
@@ -18,13 +18,10 @@ exception Failed of string
 (** A proof obligation did not hold.  The message names the pass and,
     when available, shows the counterexample input vector. *)
 
-val default : unit -> mode
-(** The mode selected by [LOWPOWER_VERIFY] (read per call, so tests may
-    set it mid-process). *)
-
 val resolve : mode option -> mode
-(** [resolve m] is the explicit mode when given, else {!default} — the
-    shared dispatch every [?verify]-taking pass funnels through. *)
+(** [resolve m] is the explicit mode when given, else [verify] of
+    [Lowpower.Config] — the shared dispatch every [?verify]-taking pass
+    funnels through. *)
 
 type session
 (** Amortization handle for a stream of obligations over one base

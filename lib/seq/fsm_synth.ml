@@ -227,8 +227,6 @@ let verify_packed t stg ~rng ~cycles =
   !ok
 
 let verify ?packed t stg ~rng ~cycles =
-  let use_packed =
-    match packed with Some b -> b | None -> Bitsim.enabled ()
-  in
-  if use_packed then verify_packed t stg ~rng ~cycles
+  if Option.value packed ~default:(Lowpower.Config.get ()).bitsim then
+    verify_packed t stg ~rng ~cycles
   else verify_scalar t stg ~rng ~cycles

@@ -50,7 +50,7 @@ val apply :
     support with the guard is safe.  Raises [Invalid_argument] if [root]
     is an input node.
 
-    [verify] (default {!Verify.default}) discharges the safety obligation
+    [verify] (default from [Lowpower.Config]) discharges the safety obligation
     — guard AND (an output changes when the root is flipped) is
     unsatisfiable — and raises {!Verify.Failed} when [guard] does not
     imply the root's ODC.  [session] (a {!Verify.session} rooted at this

@@ -57,7 +57,7 @@ val build :
     [g1 OR (NOT g0 AND f)] evaluated on registered values, which equals [f]
     whenever the R2 registers were loaded and equals the prediction when
     they were frozen — the Fig. 1 argument.  [verify] (default
-    {!Verify.default}) discharges the predictor obligations — [g1] forces
+    from [Lowpower.Config]) discharges the predictor obligations — [g1] forces
     the output to 1 and [g0] to 0 on every input vector — and raises
     {!Verify.Failed} otherwise.  [session] (a {!Verify.session} rooted at
     this exact network) shares one incremental solver across a sweep of

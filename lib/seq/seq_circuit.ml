@@ -82,7 +82,7 @@ let simulate ?(delay_model = Event_sim.Zero_delay) ?packed t stimulus =
   let q_pos = Array.map (fun r -> pos_of r.q) regs in
   let q_state = Array.map (fun r -> r.init) regs in
   let use_packed =
-    (match packed with Some b -> b | None -> Bitsim.enabled ())
+    Option.value packed ~default:(Lowpower.Config.get ()).bitsim
     && delay_model = Event_sim.Zero_delay
   in
   (* The serial register loop only reads the d and enable values.  When the

@@ -23,7 +23,7 @@ type job =
   | Map of { label : string; net : Network.t; power : bool }
       (** {!Subject.decompose} + {!Mapper.map} ([Power] objective when
           [power], else [Area]); the pass-level [~verify] safety net is
-          left at {!Verify.default} *)
+          left at the [Lowpower.Config] default *)
   | Encode_fsm of { label : string; stg : Stg.t }
       (** a {!Tournament.run_fsm} encoding race *)
 
@@ -58,10 +58,10 @@ type report = {
 }
 
 val run : ?domains:int -> ?memo:Memo.t -> job array -> report
-(** Execute the batch.  [domains] defaults to {!Pool.default_domains};
-    [memo] defaults to a fresh cache private to this run (pass one
-    explicitly to share across batches).  A job that raises aborts the
-    run with that exception, per {!Pool.map}. *)
+(** Execute the batch.  [domains] is passed to {!Pool.map} (default from
+    [Lowpower.Config]); [memo] defaults to a fresh cache private to this
+    run (pass one explicitly to share across batches).  A job that raises
+    aborts the run with that exception, per {!Pool.map}. *)
 
 val mixed_workload : ?seed:int -> n:int -> unit -> job array
 (** The benchmark workload: [n] jobs in fixed proportions (≈40% estimate,

@@ -3,18 +3,7 @@
    only; artifact computation happens outside it, so a slow BDD cone on
    one domain never blocks a compiled-form hit on another. *)
 
-(* Same SplitMix64-style finisher as Network.structural_hash (constants
-   truncated to OCaml's 63-bit int); kept local because keys mix
-   repo-level ingredients (kind tags, floats, packed cube words) the
-   network hash never sees. *)
-let mix z =
-  let z = (z * 0x1E3779B97F4A7C15) + 0x165667B19E3779F9 in
-  let z = (z lxor (z lsr 29)) * 0x2545F4914F6CDD1D in
-  let z = (z lxor (z lsr 31)) * 0x27D4EB2F165667C5 in
-  (z lxor (z lsr 30)) land max_int
-
-let combine h x = mix ((h * 0x100000001B3) lxor x)
-let combine_float h f = combine h (Int64.to_int (Int64.bits_of_float f) land max_int)
+module H = Lowpower.Hash
 
 type artifact =
   | A_compiled of Compiled.t
@@ -127,13 +116,13 @@ and k_activity = 7
 and k_annotation = 8
 
 let compiled t net =
-  let key = combine k_compiled (Network.structural_hash net) in
+  let key = H.combine k_compiled (Network.structural_hash net) in
   match memoize t key (fun () -> A_compiled (Compiled.of_network net)) with
   | A_compiled c -> c
   | _ -> assert false
 
 let bitsim t net =
-  let key = combine k_bitsim (Network.structural_hash net) in
+  let key = H.combine k_bitsim (Network.structural_hash net) in
   match memoize t key (fun () -> A_bitsim (Bitsim.of_network net)) with
   | A_bitsim b -> b
   | _ -> assert false
@@ -143,8 +132,8 @@ let cone_probabilities t net ~input_probs =
   if Array.length input_probs <> num_inputs then
     invalid_arg "Memo.cone_probabilities: input_probs arity mismatch";
   let key =
-    Array.fold_left combine_float
-      (combine k_cone (Network.structural_hash net))
+    Array.fold_left H.combine_float
+      (H.combine k_cone (Network.structural_hash net))
       input_probs
   in
   let compute () =
@@ -161,9 +150,9 @@ let cone_probabilities t net ~input_probs =
   match memoize t key compute with A_cone a -> a | _ -> assert false
 
 let hash_cover h c =
-  let h = combine h (Cover.num_vars c) in
+  let h = H.combine h (Cover.num_vars c) in
   List.fold_left
-    (fun h cube -> Array.fold_left combine h (Cube.unsafe_words cube))
+    (fun h cube -> Array.fold_left H.combine h (Cube.unsafe_words cube))
     h (Cover.cubes c)
 
 let minimize t ?dc f =
@@ -172,7 +161,9 @@ let minimize t ?dc f =
     invalid_arg "Memo.minimize: dc variable count mismatch"
   | _ -> ());
   let key = hash_cover k_cover f in
-  let key = match dc with Some d -> hash_cover (combine key 7) d | None -> key in
+  let key =
+    match dc with Some d -> hash_cover (H.combine key 7) d | None -> key
+  in
   match memoize t key (fun () -> A_cover (Cover.minimize ?dc f)) with
   | A_cover c -> c
   | _ -> assert false
@@ -189,13 +180,13 @@ let dualvth t ?config ?required ?slack_factor ?leakage_budget ?cells m
      coefficients.  Absent options hash as nan, which no present value
      collides with. *)
   let fopt = function Some f -> f | None -> nan in
-  let key = combine k_dualvth (Network.structural_hash net) in
-  let key = combine_float key (fopt required) in
-  let key = combine_float key (fopt slack_factor) in
-  let key = combine_float key (fopt leakage_budget) in
-  let key = Array.fold_left combine_float key input_probs in
+  let key = H.combine k_dualvth (Network.structural_hash net) in
+  let key = H.combine_float key (fopt required) in
+  let key = H.combine_float key (fopt slack_factor) in
+  let key = H.combine_float key (fopt leakage_budget) in
+  let key = Array.fold_left H.combine_float key input_probs in
   let key =
-    List.fold_left combine_float key
+    List.fold_left H.combine_float key
       [ cfg.Dualvth.params.Lowpower.Power_model.vdd;
         cfg.Dualvth.params.Lowpower.Power_model.freq;
         cfg.Dualvth.params.Lowpower.Power_model.qsc;
@@ -203,9 +194,9 @@ let dualvth t ?config ?required ?slack_factor ?leakage_budget ?cells m
         cfg.Dualvth.drive_gain; cfg.Dualvth.gamma; cfg.Dualvth.epsilon;
         cfg.Dualvth.tol ]
   in
-  let key = combine key cfg.Dualvth.max_iterations in
+  let key = H.combine key cfg.Dualvth.max_iterations in
   let key =
-    combine key
+    H.combine key
       (match cfg.Dualvth.start with Dualvth.Max_drive -> 0 | Dualvth.Asis -> 1)
   in
   let key =
@@ -213,7 +204,7 @@ let dualvth t ?config ?required ?slack_factor ?leakage_budget ?cells m
       (fun k (_, (cl : Techlib.cell)) ->
         match cells with
         | Some _ -> k (* custom ladders are folded below *)
-        | None -> combine k (Hashtbl.hash cl.Techlib.cell_name))
+        | None -> H.combine k (Hashtbl.hash cl.Techlib.cell_name))
       key (Mapper.choices m)
   in
   let key =
@@ -222,9 +213,9 @@ let dualvth t ?config ?required ?slack_factor ?leakage_budget ?cells m
     | Some cs ->
       List.fold_left
         (fun k (cl : Techlib.cell) ->
-          let k = combine k (Hashtbl.hash cl.Techlib.cell_name) in
-          let k = combine_float k cl.Techlib.drive in
-          combine_float k cl.Techlib.leak)
+          let k = H.combine k (Hashtbl.hash cl.Techlib.cell_name) in
+          let k = H.combine_float k cl.Techlib.drive in
+          H.combine_float k cl.Techlib.leak)
         key cs
   in
   let compute () =
@@ -242,7 +233,7 @@ let dualvth t ?config ?required ?slack_factor ?leakage_budget ?cells m
 
 let dfg_activity t dfg ~fingerprint compute =
   let key =
-    combine (combine k_activity (Dfg.structural_hash dfg)) fingerprint
+    H.combine (H.combine k_activity (Dfg.structural_hash dfg)) fingerprint
   in
   match memoize t key (fun () -> A_activity (compute ())) with
   | A_activity a -> a
@@ -250,8 +241,8 @@ let dfg_activity t dfg ~fingerprint compute =
 
 let activity t net ~trace =
   let key =
-    combine
-      (combine k_annotation (Network.structural_hash net))
+    H.combine
+      (H.combine k_annotation (Network.structural_hash net))
       (Annotation.trace_fingerprint trace)
   in
   (* Annotations are immutable snapshots (caps included), so a hit is
@@ -261,8 +252,8 @@ let activity t net ~trace =
   | _ -> assert false
 
 let cec_key a b =
-  combine
-    (combine k_cec (Network.structural_hash a))
+  H.combine
+    (H.combine k_cec (Network.structural_hash a))
     (Network.structural_hash b)
 
 let check_with t a b prove =

@@ -20,14 +20,6 @@ type stats = {
   executed : int array;
 }
 
-let default_domains () =
-  match Sys.getenv_opt "LOWPOWER_SERVE_DOMAINS" with
-  | Some v -> (
-    match int_of_string_opt v with
-    | Some n when n >= 1 -> n
-    | _ -> max 1 (min 8 (Domain.recommended_domain_count ())))
-  | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
-
 let make_deque cap =
   { lock = Mutex.create (); buf = Array.make (max cap 4) 0; lo = 0; hi = 0 }
 
@@ -78,9 +70,11 @@ let steal_half d =
 let map ?domains ?on_result f xs =
   let n = Array.length xs in
   let d =
-    match domains with Some d -> max 1 d | None -> default_domains ()
+    match domains with
+    | Some d -> d
+    | None -> (Lowpower.Config.get ()).serve_domains
   in
-  let d = max 1 (min d (max n 1)) in
+  let d = max 1 (min (min d Lowpower.Config.max_domains) (max n 1)) in
   let executed = Array.make d 0 in
   if n = 0 then
     ([||], { domains = d; jobs = 0; steals = 0; stolen_jobs = 0; executed })

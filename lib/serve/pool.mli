@@ -17,26 +17,24 @@
     through [on_result]. *)
 
 type stats = {
-  domains : int;       (** workers actually used (clamped to job count) *)
+  domains : int;
+      (** workers actually used (clamped to the job count and to
+          [Lowpower.Config.max_domains]) *)
   jobs : int;
   steals : int;        (** successful steal operations *)
   stolen_jobs : int;   (** jobs that changed deques via stealing *)
   executed : int array;  (** jobs executed per worker *)
 }
 
-val default_domains : unit -> int
-(** Worker count used when [map] gets no explicit [domains]: the
-    [LOWPOWER_SERVE_DOMAINS] environment variable when set to a positive
-    integer, else [Domain.recommended_domain_count ()] capped at 8. *)
-
 val map :
   ?domains:int -> ?on_result:(int -> 'b -> unit) -> ('a -> 'b) -> 'a array
   -> 'b array * stats
 (** [map f jobs] runs [f jobs.(i)] for every [i] across the pool and
     returns the results in job order plus run statistics.  [domains]
-    defaults to {!default_domains}; it is clamped to [1 .. jobs] (a
-    1-domain pool runs everything on the calling domain through the same
-    deque machinery).  [on_result i r] streams each result as it
+    defaults to [serve_domains] of [Lowpower.Config]; it is clamped to
+    [1 .. min jobs Lowpower.Config.max_domains] (a 1-domain pool runs
+    everything on the calling domain through the same deque
+    machinery).  [on_result i r] streams each result as it
     completes, {e from the worker domain that produced it} — callbacks
     must therefore be thread-safe; job order is not guaranteed.
 

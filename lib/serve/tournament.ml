@@ -22,7 +22,7 @@ type promotion = {
 
 (* Re-minimize every narrow local function through the two-level engine;
    unused fanins left behind by the minimizer are trimmed by cleanup. *)
-let espresso_local ?memo net =
+let espresso_local memo net =
   List.iter
     (fun id ->
       if not (Network.is_input net id) then begin
@@ -31,19 +31,16 @@ let espresso_local ?memo net =
         if k >= 1 && k <= 8 then begin
           let tt = Truth_table.of_expr k (Network.func net id) in
           let cover = Cover.of_truth_table tt in
-          let minimized =
-            match memo with
-            | Some m -> Memo.minimize m cover
-            | None -> Cover.minimize cover
-          in
-          Network.replace_func net id (Cover.to_expr minimized) fanins
+          Network.replace_func net id
+            (Cover.to_expr (Memo.minimize memo cover))
+            fanins
         end
       end)
     (Network.node_ids net);
   ignore (Cleanup.run net);
   net
 
-let default_strategies ?memo ?input_probs ?trace net =
+let default_strategies ?(memo = Memo.create ()) ?input_probs ?trace net =
   let probs =
     match input_probs with
     | Some p -> p
@@ -76,7 +73,7 @@ let default_strategies ?memo ?input_probs ?trace net =
           ignore (Cleanup.run n);
           n);
     };
-    { s_name = "espresso"; transform = espresso_local ?memo };
+    { s_name = "espresso"; transform = espresso_local memo };
     {
       s_name = "dontcare-area";
       transform =
@@ -111,11 +108,7 @@ let default_strategies ?memo ?input_probs ?trace net =
           let subj = Subject.decompose n in
           let act = Activity.zero_delay subj ~input_probs:probs in
           let m = Mapper.map ~verify:`Off subj (Mapper.Power act) in
-          let r =
-            match memo with
-            | Some mm -> Memo.dualvth mm m ~input_probs:probs
-            | None -> Dualvth.optimize_mapping m ~input_probs:probs
-          in
+          let r = Memo.dualvth memo m ~input_probs:probs in
           let ws = (Dualvth.final_step r).Dualvth.worst_slack in
           if ws < -1e-9 then
             failwith
@@ -138,60 +131,18 @@ let leak_units net =
   /. (0.5 *. unit_cap *. p.Lowpower.Power_model.vdd
       *. p.Lowpower.Power_model.freq)
 
-(* Capacitance-weighted toggles per cycle, measured over the trace.  The
-   scalar path mirrors Bitsim.count_transitions (settled zero-delay
-   values, initialization uncharged, input toggles counted) and is what
-   the LOWPOWER_BITSIM=off configuration exercises. *)
-let measured_score ?memo net trace =
-  let leak = leak_units net in
-  let cycles = List.length trace in
-  let denom = float_of_int (max 1 (cycles - 1)) in
-  if Bitsim.enabled () then begin
-    match memo with
-    | Some m ->
-      (* Annotation.switched_capacitance sums cap * count in the same
-         ascending-id order over the same measured counts, so a cache hit
-         scores bit-identically to the direct path below. *)
-      Annotation.switched_capacitance (Memo.activity m net ~trace) +. leak
-    | None ->
-      let bs = Bitsim.of_network net in
-      let counts = Bitsim.count_transitions bs trace in
-      let c = Bitsim.compiled bs in
-      let acc = ref 0.0 in
-      Array.iteri
-        (fun i k -> acc := !acc +. (Compiled.cap c i *. float_of_int k))
-        counts;
-      (!acc /. denom) +. leak
-  end
-  else begin
-    let c =
-      match memo with
-      | Some m -> Memo.compiled m net
-      | None -> Compiled.of_network net
-    in
-    let size = Compiled.size c in
-    let prev = Array.make size false and cur = Array.make size false in
-    let acc = ref 0.0 in
-    (match trace with
-    | [] -> invalid_arg "Tournament: empty trace"
-    | v0 :: rest ->
-      Compiled.eval_into c v0 prev;
-      List.iter
-        (fun v ->
-          Compiled.eval_into c v cur;
-          for i = 0 to size - 1 do
-            if cur.(i) <> prev.(i) then acc := !acc +. Compiled.cap c i
-          done;
-          Array.blit cur 0 prev 0 size)
-        rest);
-    (!acc /. denom) +. leak
-  end
+(* Capacitance-weighted settled (zero-delay) toggles per cycle over the
+   trace, measured once per structure through the cache. *)
+let measured_score memo net trace =
+  Annotation.switched_capacitance (Memo.activity memo net ~trace)
+  +. leak_units net
 
 let estimated_score net ~input_probs =
   let act = Activity.zero_delay ~exact:false net ~input_probs in
   Activity.switched_capacitance net act +. leak_units net
 
-let run ?(name = "circuit") ?strategies ?input_probs ?trace ?memo net =
+let run ?(name = "circuit") ?strategies ?input_probs ?trace
+    ?(memo = Memo.create ()) net =
   let probs =
     match input_probs with
     | Some p -> p
@@ -200,23 +151,20 @@ let run ?(name = "circuit") ?strategies ?input_probs ?trace ?memo net =
   let roster =
     match strategies with
     | Some s -> s
-    | None -> default_strategies ?memo ~input_probs:probs ?trace net
+    | None -> default_strategies ~memo ~input_probs:probs ?trace net
   in
   let score n =
     match trace with
-    | Some tr -> measured_score ?memo n tr
+    | Some tr -> measured_score memo n tr
     | None -> estimated_score n ~input_probs:probs
   in
   let source_score = score net in
   let sess = Cec.session net in
   let verify cand_net =
-    let prove () = Cec.session_check sess cand_net in
-    let outcome =
-      match memo with
-      | Some m -> Memo.check_with m net cand_net prove
-      | None -> prove ()
-    in
-    match outcome with
+    match
+      Memo.check_with memo net cand_net (fun () ->
+          Cec.session_check sess cand_net)
+    with
     | Cec.Equivalent -> Verified
     | Cec.Counterexample v -> Refuted v
   in

@@ -8,8 +8,8 @@
     copy of the source network, every surviving candidate is scored by
     estimated total power in switched-capacitance units — zero-delay
     activity from signal probabilities under the independence estimate by
-    default, measured {!Bitsim.count_transitions} toggles when a [trace]
-    is supplied, in either case plus the net's annotated leakage
+    default, measured settled toggles ({!Annotation.measure}) when a
+    [trace] is supplied, in either case plus the net's annotated leakage
     converted to equivalent capacitance units (zero on unannotated
     networks) — and {e every} scored candidate is checked equivalent to
     the source through one shared incremental {!Cec.session} — so a
@@ -35,7 +35,7 @@ val default_strategies :
 (** The stock roster for a given source network: [source] (identity —
     guarantees a verified candidate always exists), [cleanup],
     [espresso] (per-node two-level re-minimization of every local
-    function with at most 8 fanins, through [memo] when given),
+    function with at most 8 fanins),
     [dontcare-area], [dontcare-power] ({!Dontcare} policies; internal
     re-verification off — the tournament SAT-checks the result),
     [subject] and [subject-power] (NAND2/INV decomposition, plain and
@@ -49,7 +49,9 @@ val default_strategies :
     {!Actsim} engine — the simulate → annotate → re-synthesize loop as a
     tournament entrant, SAT-verified like every other candidate.
     [input_probs] (default all 0.5) feeds the power-aware strategies and
-    must match the source input count. *)
+    must match the source input count.  The [espresso] and [dualvth]
+    transforms go through [memo] (default: a fresh cache shared by this
+    roster only). *)
 
 type verdict =
   | Verified  (** SAT-proved equivalent to the source *)
@@ -93,11 +95,12 @@ val run :
     candidates are scored by capacitance-weighted toggle counts measured
     over the vector stream (per cycle) and the default roster gains the
     [measured] strategy; otherwise by exact zero-delay activity under
-    [input_probs].  With [memo], measured annotations, espresso covers
-    and CEC verdicts are served from / inserted into the shared cache (a
-    cached verdict skips the session query entirely; a cached annotation
-    scores bit-identically to a fresh measurement).  The
-    source is never mutated.  Raises [Invalid_argument] if no strategy
+    [input_probs].  Measured annotations, espresso covers, dual-Vth
+    results and CEC verdicts are served from / inserted into [memo]
+    (default: a fresh cache private to this run; pass one to share
+    across runs).  A cached verdict skips the session query entirely; a
+    cached annotation scores bit-identically to a fresh measurement.
+    The source is never mutated.  Raises [Invalid_argument] if no strategy
     produces a verified candidate (an all-refuted roster — impossible
     with the default roster's [source] entry). *)
 

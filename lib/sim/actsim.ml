@@ -53,11 +53,6 @@ type t = {
   mutable s_words : int;
 }
 
-let env_mode () =
-  match Sys.getenv_opt "LOWPOWER_ACTSIM" with
-  | Some "full" -> Full
-  | _ -> Incremental
-
 let mode t = t.mode
 let network t = t.net
 let size t = t.n
@@ -122,7 +117,8 @@ let compile_node t id =
   (fi, Bitsim.compile_word fi (Network.func t.net id))
 
 let create ?mode net ~trace =
-  let mode = match mode with Some m -> m | None -> env_mode () in
+  let full = (Lowpower.Config.get ()).actsim = `Full in
+  let mode = Option.value mode ~default:(if full then Full else Incremental) in
   let vecs = Array.of_list trace in
   let nvecs = Array.length vecs in
   if nvecs = 0 then invalid_arg "Actsim.create: empty trace";

@@ -22,8 +22,8 @@
     (same packing, same overlap lane, same popcount masks), which is what
     lets the differential tests compare with [=] and lets the propagation
     cutoff be exact rather than approximate.  A full-replay mode is
-    retained as the differential oracle; [LOWPOWER_ACTSIM=full] in the
-    environment selects it for every engine that does not pin [~mode]. *)
+    retained as the differential oracle; [actsim] of [Lowpower.Config]
+    selects it for every engine that does not pin [~mode]. *)
 
 type t
 
@@ -38,16 +38,13 @@ type stats = {
   word_evals : int;  (** node-block word evaluations performed *)
 }
 
-val env_mode : unit -> mode
-(** [Full] when [LOWPOWER_ACTSIM=full] is in the environment, else
-    [Incremental] — the default for engines that do not pin [~mode]. *)
-
 val create : ?mode:mode -> Network.t -> trace:Stimulus.t -> t
 (** Snapshot the network's current structure, pack the trace with the
     {!Bitsim.count_transitions} one-lane block overlap, simulate every
     block once and count every node's settled (zero-delay) transitions.
     The engine retains a reference to [net]: subsequent edits must be
-    announced through {!update}.  [mode] defaults to {!env_mode}.  Raises
+    announced through {!update}.  [mode] defaults to [actsim] of
+    [Lowpower.Config].  Raises
     [Invalid_argument] on an empty trace or input-arity mismatch. *)
 
 val update : t -> Network.id -> unit

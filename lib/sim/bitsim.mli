@@ -17,7 +17,12 @@
     A [t] is immutable after {!of_compiled} and safe to share across
     OCaml 5 domains — [eval_into] writes only the caller-owned plane, so
     word blocks can be sharded with one plane per domain (see
-    [Probability.simulated]). *)
+    [Probability.simulated]).
+
+    Every consumer with a scalar fallback ([Probability.simulated],
+    [Seq_circuit.simulate], [Fsm_synth.verify]) takes this engine unless
+    [bitsim] of [Lowpower.Config] is off — the differential-oracle
+    configuration CI runs. *)
 
 type t
 
@@ -72,8 +77,3 @@ val lane_mask : int -> int
 (** [lane_mask n] has lanes [0..n-1] set ([n >= 63] gives all lanes) —
     the mask for counting a final partial word. *)
 
-val enabled : unit -> bool
-(** The packed engine is on by default; [LOWPOWER_BITSIM=off] in the
-    environment forces every consumer with a scalar fallback
-    ([Probability.simulated], [Seq_circuit.simulate], [Fsm_synth.verify])
-    back onto it — the differential-oracle configuration CI runs. *)

@@ -21,7 +21,7 @@ val balance :
     down; [budget] (default unlimited) caps the number of buffers.
     Returns the new network and the number of buffers inserted.
     The critical path level is never increased (buffers only pad slack
-    edges).  [verify] (default {!Verify.default}) re-proves input/output
+    edges).  [verify] (default from [Lowpower.Config]) re-proves input/output
     equivalence and raises {!Verify.Failed} on a mismatch. *)
 
 val selective :

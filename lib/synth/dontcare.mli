@@ -83,7 +83,7 @@ val optimize_node :
 (** Re-implement one node using its don't-cares under the given policy;
     returns [true] if the node changed.  The network remains functionally
     equivalent at all primary outputs (don't-cares guarantee it); [verify]
-    (default {!Verify.default}) re-proves the equivalence independently
+    (default from [Lowpower.Config]) re-proves the equivalence independently
     and raises {!Verify.Failed} on a mismatch.
 
     Every candidate is scored in the sweep's BDD session (see {!sweep}):

@@ -66,7 +66,7 @@ val extract :
 (** Iteratively extract the single best kernel (greatest cost saving) across
     all functions, introducing one new variable per round, until no
     extraction saves cost or [max_new] (default 50) new signals exist.
-    [verify] (default {!Verify.default}) checks the factored system against
+    [verify] (default from [Lowpower.Config]) checks the factored system against
     the flat originals (as networks, via {!to_network}) and raises
     {!Verify.Failed} on a mismatch. *)
 

@@ -28,7 +28,7 @@ val map :
     {!Techlib.default}.  Raises [Invalid_argument] if the network is not a
     subject graph or if some node cannot be matched by any cell (the default
     library always matches INV and NAND2, so this means an empty or
-    inadequate custom library).  [verify] (default {!Verify.default})
+    inadequate custom library).  [verify] (default from [Lowpower.Config])
     re-proves that the mapped netlist still computes the subject graph's
     outputs and raises {!Verify.Failed} otherwise. *)
 

@@ -34,7 +34,7 @@ val measured :
     {!Actsim.update}, and keep the strictly best implementation (the
     original wins ties).  The network is mutated in place and stays
     functionally equivalent by construction; [verify] (default
-    {!Verify.default}) re-proves it and raises {!Verify.Failed} on a
-    mismatch.  [mode] pins the engine mode (default {!Actsim.env_mode};
+    from [Lowpower.Config]) re-proves it and raises {!Verify.Failed} on a
+    mismatch.  [mode] pins the engine mode (default from [Lowpower.Config];
     results are identical in both, only the work differs — see [stats]).
     Raises [Invalid_argument] on an empty trace or arity mismatch. *)

@@ -1,4 +1,4 @@
-(* Tests for the core library: Rng, Power_model, Stats, Table. *)
+(* Tests for the core library: Rng, Power_model, Stats, Table, Config. *)
 
 open Test_util
 
@@ -181,6 +181,78 @@ let test_table_cells () =
   Alcotest.(check string) "pct" "37.2%" (Lowpower.Table.cell_pct 0.372);
   Alcotest.(check string) "ratio" "1.83x" (Lowpower.Table.cell_ratio 1.83)
 
+(* --- Config: parsed through a fake lookup, never the real environment --- *)
+
+module Config = Lowpower.Config
+
+let config env = Config.of_lookup (fun var -> List.assoc_opt var env)
+
+let mentions msg part =
+  let n = String.length part in
+  let rec go i =
+    i + n <= String.length msg && (String.sub msg i n = part || go (i + 1))
+  in
+  go 0
+
+(* Per setting: its variable, its field as text, the value when unset,
+   accepted values (every one CI sets among them) with what they parse
+   to, then one malformed and one out-of-range value. *)
+let config_settings =
+  let engine = function `Incremental -> "incremental" | `Full -> "full" in
+  [
+    ( "LOWPOWER_VERIFY",
+      (fun c ->
+        match c.Config.verify with
+        | `Off -> "off" | `Sat -> "sat" | `Bdd -> "bdd"),
+      "off", [ ("sat", "sat"); ("bdd", "bdd"); ("off", "off") ], "yes", "SAT" );
+    ( "LOWPOWER_BITSIM", (fun c -> string_of_bool c.Config.bitsim),
+      "true", [ ("off", "false"); ("on", "true") ], "0", "disabled" );
+    ( "LOWPOWER_SAT_PORTFOLIO", (fun c -> string_of_int c.Config.sat_portfolio),
+      "1", [ ("2", "2"); ("1", "1"); ("128", "128") ], "two", "129" );
+    ( "LOWPOWER_SERVE_DOMAINS", (fun c -> string_of_int c.Config.serve_domains),
+      string_of_int (max 1 (min 8 (Domain.recommended_domain_count ()))),
+      [ ("4", "4"); ("1", "1"); ("128", "128") ], " 4", "129" );
+    ( "LOWPOWER_STA", (fun c -> engine c.Config.sta),
+      "incremental", [ ("full", "full"); ("incremental", "incremental") ],
+      "fast", "Full" );
+    ( "LOWPOWER_ACTSIM", (fun c -> engine c.Config.actsim),
+      "incremental", [ ("full", "full"); ("incremental", "incremental") ],
+      "", "partial" );
+    ( "LOWPOWER_REWRITE_BEAM", (fun c -> string_of_int c.Config.rewrite_beam),
+      "4", [ ("1", "1"); ("4", "4"); ("16", "16") ], "4x", "0" );
+  ]
+
+let config_test (var, field, default, accepted, malformed, out_of_range) () =
+  Alcotest.(check string) "unset gives the default" default (field (config []));
+  List.iter
+    (fun (v, expected) ->
+      let c = config [ (var, v) ] in
+      Alcotest.(check string) (var ^ "=" ^ v) expected (field c);
+      (* The other six settings keep their defaults. *)
+      List.iter
+        (fun (var', field', default', _, _, _) ->
+          if var' <> var then
+            Alcotest.(check string) (var' ^ " untouched") default' (field' c))
+        config_settings)
+    accepted;
+  List.iter
+    (fun bad ->
+      match config [ (var, bad) ] with
+      | _ -> Alcotest.failf "%s=%S accepted" var bad
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) ("message names " ^ var) true
+          (mentions msg var && mentions msg "accepted values"))
+    [ malformed; out_of_range ]
+
+let test_config_to_string () =
+  Alcotest.(check string) "one line, every setting"
+    "config: verify=off bitsim=on sat_portfolio=1 serve_domains=2 \
+     sta=incremental actsim=incremental rewrite_beam=4"
+    (Config.to_string (config [ ("LOWPOWER_SERVE_DOMAINS", "2") ]));
+  Alcotest.(check string) "get parses the process environment"
+    (Config.to_string (Config.of_lookup Sys.getenv_opt))
+    (Config.to_string (Config.get ()))
+
 let suite =
   [
     quick "rng determinism" test_rng_determinism;
@@ -207,4 +279,9 @@ let suite =
     quick "table renders" test_table_renders;
     quick "table arity check" test_table_arity;
     quick "table cell formats" test_table_cells;
+    quick "config to_string and get" test_config_to_string;
   ]
+  @ List.map
+      (fun ((var, _, _, _, _, _) as setting) ->
+        quick ("config " ^ var) (config_test setting))
+      config_settings

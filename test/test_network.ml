@@ -296,6 +296,18 @@ let test_structural_hash_mutation_sensitive () =
   Alcotest.(check bool) "at least 200 mutations tried" true (!trials >= 200);
   Alcotest.(check int) "no mutation collides" 0 !collisions
 
+(* Every cache key is built from these hashes, so a drifted mixer constant
+   would silently re-key every memo while the collision tests above still
+   pass.  The values are those of the original per-module mixers. *)
+let test_structural_hash_pinned () =
+  Alcotest.(check int) "array multiplier 4x4" 3391467124273209505
+    (Network.structural_hash (Circuits.array_multiplier 4).Circuits.net);
+  Alcotest.(check int) "FIR-8 datapath" 3318539391217825457
+    (Dfg.structural_hash (Gen_dfg.fir ~taps:8 ()));
+  Alcotest.(check int) "trace fingerprint" 2499145489511031072
+    (Annotation.trace_fingerprint
+       (Stimulus.random (Lowpower.Rng.create 3) ~width:8 ~length:100 ()))
+
 let suite =
   [
     quick "network evaluation" test_network_eval;
@@ -326,4 +338,5 @@ let suite =
     quick "structural hash distinct nets" test_structural_hash_distinct_nets;
     quick "structural hash mutation-sensitive"
       test_structural_hash_mutation_sensitive;
+    quick "structural hash pinned values" test_structural_hash_pinned;
   ]

@@ -394,9 +394,6 @@ let test_budgeted_session () =
   | `Witness _ -> Alcotest.fail "sound rewrite refuted on retry"
   | `Undecided -> Alcotest.fail "generous retry budget exhausted"
 
-let test_default_beam () =
-  Alcotest.(check bool) "beam at least 1" true (Search.default_beam () >= 1)
-
 (* The search behaves under the fallback cost model too (what the
    LOWPOWER_BITSIM=off CI pass exercises end to end). *)
 let test_search_independence_model () =
@@ -430,7 +427,6 @@ let suite =
     quick "search: SAT gate alone catches unsound rewrite"
       test_search_sat_gate;
     quick "cec: conflict-budgeted session probe" test_budgeted_session;
-    quick "search: default beam" test_default_beam;
     quick "search: independence fallback model"
       test_search_independence_model;
   ]

@@ -49,6 +49,14 @@ let test_pool_clamp_and_empty () =
   Alcotest.(check (array int)) "empty batch" [||] r;
   Alcotest.(check int) "no jobs" 0 st.Pool.jobs
 
+let test_pool_domain_limit () =
+  (* More domains than the runtime can hold: clamped, not a crash. *)
+  let r, st = Pool.map ~domains:200 (fun i -> i + 1) (Array.init 300 Fun.id) in
+  Alcotest.(check (array int)) "results" (Array.init 300 (fun i -> i + 1)) r;
+  Alcotest.(check int) "domains clamped" Lowpower.Config.max_domains
+    st.Pool.domains;
+  Alcotest.(check int) "max_domains" 128 Lowpower.Config.max_domains
+
 let test_pool_streaming () =
   let seen = Array.make 50 false in
   let lock = Mutex.create () in
@@ -457,6 +465,7 @@ let suite =
     quick "pool basic map" test_pool_basic;
     quick "pool determinism 1 vs N domains" test_pool_determinism;
     quick "pool clamping and empty batch" test_pool_clamp_and_empty;
+    quick "pool domain limit" test_pool_domain_limit;
     quick "pool result streaming" test_pool_streaming;
     quick "pool exception propagation" test_pool_exception;
     quick "memo compiled and bitsim" test_memo_compiled_bitsim;
