@@ -50,7 +50,7 @@ let parse path =
   List.rev !entries
 
 (* Mid-name variants pair by swapping the marker in place:
-   sta_incremental_1k <-> sta_full_1k. *)
+   rewrite_fir8_greedy <-> rewrite_fir8_beam. *)
 let swap_infix s a b =
   let ls = String.length s and la = String.length a in
   let rec find i =
@@ -101,7 +101,7 @@ let () =
     List.filter (fun (name, _) -> not (List.mem_assoc name base)) fresh
   in
   (* An added entry has no baseline, but often has a sibling measured in
-     the same fresh run — the [_reference]/[_incremental]/... variant of
+     the same fresh run — the [_reference]/[_bitsim]/... variant of
      the same workload — whose ratio is the number the new entry exists to
      demonstrate.  Report it instead of printing the entry contextless. *)
   let sibling_of name =
@@ -120,8 +120,7 @@ let () =
       @ List.map (fun suf -> name ^ suf) suffixes
       @ List.filter_map
           (fun (a, b) -> swap_infix name a b)
-          [ ("_incremental", "_full"); ("_full", "_incremental");
-            ("_greedy", "_beam"); ("_beam", "_greedy") ]
+          [ ("_greedy", "_beam"); ("_beam", "_greedy") ]
     in
     List.find_map
       (fun c -> Option.map (fun v -> (c, v)) (List.assoc_opt c fresh))
@@ -159,32 +158,12 @@ let () =
       (List.length removed)
       (if List.length removed = 1 then "y" else "ies")
   end;
-  (* Every _incremental entry with a _full sibling in the fresh run is a
-     designed pair (incremental STA, incremental activity, ...): the
-     speedup between them is the number the pair exists to demonstrate,
-     so it rides on the summary line of both outcomes. *)
-  let pair_summary =
-    fresh
-    |> List.filter_map (fun (name, f) ->
-           match swap_infix name "_incremental" "_full" with
-           | Some full_name when f > 0.0 ->
-             Option.map
-               (fun fv ->
-                 Printf.sprintf "%s %.1fx faster than %s" name (fv /. f)
-                   full_name)
-               (List.assoc_opt full_name fresh)
-           | _ -> None)
-    |> function
-    | [] -> ""
-    | notes -> "  [" ^ String.concat "; " notes ^ "]"
-  in
   if !failures > 0 then begin
     Printf.printf
       "\n%d benchmark(s) regressed beyond %.0f%% of baseline or went \
-       missing.%s\n"
+       missing.\n"
       !failures
-      ((threshold -. 1.0) *. 100.0)
-      pair_summary;
+      ((threshold -. 1.0) *. 100.0);
     exit 1
   end
-  else Printf.printf "\nAll benchmarks within threshold.%s\n" pair_summary
+  else print_string "\nAll benchmarks within threshold.\n"

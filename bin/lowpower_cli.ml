@@ -10,7 +10,7 @@
 
 open Cmdliner
 
-(* The engine settings, parsed before any command is built (the --beam,
+(* The engine settings, parsed before any command is built (the
    --domains and --portfolio defaults come from them); an invalid setting
    stops the program here with the variable and its accepted values. *)
 let config =
@@ -572,8 +572,7 @@ let size_cmd =
 
 (* --- rewrite --- *)
 
-let rewrite_run workload taps width beam samples trace_len seed model coeffs
-    measured =
+let rewrite_run workload taps width beam samples trace_len seed model coeffs =
   let r = Lowpower.Rng.create seed in
   let coeffs =
     match coeffs with
@@ -589,17 +588,14 @@ let rewrite_run workload taps width beam samples trace_len seed model coeffs
   in
   let trace = Gen_dfg.random_samples r dfg ~n:trace_len ~correlated:true () in
   let model =
-    if measured then Some Cost.Toggles
-    else
-      match model with
-      | "auto" -> None
-      | "toggles" -> Some Cost.Toggles
-      | "independence" -> Some Cost.Independence
-      | "area" -> Some Cost.Area
-      | other -> failwith ("unknown cost model " ^ other)
+    match model with
+    | "toggles" -> Cost.Toggles
+    | "independence" -> Cost.Independence
+    | "area" -> Cost.Area
+    | other -> failwith ("unknown cost model " ^ other)
   in
   let memo = Memo.create () in
-  let res = Search.run ~beam ~samples ~memo ?model ~rng:r dfg ~trace in
+  let res = Search.run ~beam ~samples ~memo ~model ~rng:r dfg ~trace in
   let model_name =
     match res.Search.model with
     | Cost.Toggles -> "toggles"
@@ -648,10 +644,8 @@ let rewrite_cmd =
     Arg.(value & opt int 8 & info [ "taps" ] ~docv:"N" ~doc:"Filter taps.")
   in
   let beam =
-    Arg.(value & opt int config.rewrite_beam
-         & info [ "beam" ] ~docv:"N"
-             ~doc:"Beam width (1 = greedy; default from \
-                   LOWPOWER_REWRITE_BEAM).")
+    Arg.(value & opt int 4
+         & info [ "beam" ] ~docv:"N" ~doc:"Beam width (1 = greedy).")
   in
   let samples =
     Arg.(value & opt int 64
@@ -666,9 +660,9 @@ let rewrite_cmd =
                    over.")
   in
   let model =
-    Arg.(value & opt string "auto"
+    Arg.(value & opt string "toggles"
          & info [ "model" ] ~docv:"M"
-             ~doc:"Cost model: auto, toggles, independence, area.")
+             ~doc:"Cost model: toggles, independence, area.")
   in
   let coeffs =
     Arg.(value & opt string ""
@@ -676,18 +670,11 @@ let rewrite_cmd =
              ~doc:"Comma-separated filter coefficients (default: small odd \
                    constants).")
   in
-  let measured =
-    Arg.(value & flag
-         & info [ "measured" ]
-             ~doc:"Force the measured toggle-count cost model (overrides \
-                   --model), keeping the search trace-driven even where \
-                   the heuristic would fall back to a cheaper model.")
-  in
   Cmd.v
     (Cmd.info "rewrite"
        ~doc:"Activity-costed datapath rewriting with SAT-verified search")
     Term.(const rewrite_run $ workload $ taps $ width_arg 8 $ beam $ samples
-          $ trace_len $ seed_arg $ model $ coeffs $ measured)
+          $ trace_len $ seed_arg $ model $ coeffs)
 
 (* --- batch --- *)
 

@@ -1,19 +1,11 @@
-type engine = [ `Incremental | `Full ]
-
 type t = {
   verify : [ `Bdd | `Sat | `Off ];
-  bitsim : bool;
   sat_portfolio : int;
   serve_domains : int;
-  sta : engine;
-  actsim : engine;
-  rewrite_beam : int;
 }
 
 let max_domains = 128
 let verifies = [ ("off", `Off); ("sat", `Sat); ("bdd", `Bdd) ]
-let switches = [ ("on", true); ("off", false) ]
-let engines = [ ("incremental", `Incremental); ("full", `Full) ]
 
 (* Plain decimal digits only: no sign, no [0x]/[_] forms, no padding. *)
 let int_in ~hi v =
@@ -33,26 +25,19 @@ let of_lookup lookup =
         invalid_arg
           (Printf.sprintf "%s=%S: accepted values are %s" var v accepted))
   in
-  let enum var table ~default =
-    setting var ~default ~parse:(fun v -> List.assoc_opt v table)
-      ~accepted:(String.concat " | " (List.map fst table))
-  in
-  let int var ~hi ~default =
-    setting var ~default ~parse:(int_in ~hi)
-      ~accepted:
-        (if hi = max_int then "integers >= 1"
-         else Printf.sprintf "integers 1 .. %d" hi)
+  let domains var ~default =
+    setting var ~default ~parse:(int_in ~hi:max_domains)
+      ~accepted:(Printf.sprintf "integers 1 .. %d" max_domains)
   in
   {
-    verify = enum "LOWPOWER_VERIFY" verifies ~default:`Off;
-    bitsim = enum "LOWPOWER_BITSIM" switches ~default:true;
-    sat_portfolio = int "LOWPOWER_SAT_PORTFOLIO" ~hi:max_domains ~default:1;
+    verify =
+      setting "LOWPOWER_VERIFY" ~default:`Off
+        ~parse:(fun v -> List.assoc_opt v verifies)
+        ~accepted:(String.concat " | " (List.map fst verifies));
+    sat_portfolio = domains "LOWPOWER_SAT_PORTFOLIO" ~default:1;
     serve_domains =
-      int "LOWPOWER_SERVE_DOMAINS" ~hi:max_domains
+      domains "LOWPOWER_SERVE_DOMAINS"
         ~default:(max 1 (min 8 (Domain.recommended_domain_count ())));
-    sta = enum "LOWPOWER_STA" engines ~default:`Incremental;
-    actsim = enum "LOWPOWER_ACTSIM" engines ~default:`Incremental;
-    rewrite_beam = int "LOWPOWER_REWRITE_BEAM" ~hi:max_int ~default:4;
   }
 
 (* Not [Lazy]: forcing one lazy value from two domains at once raises.
@@ -68,10 +53,6 @@ let get () =
     c
 
 let to_string c =
-  let name table x = fst (List.find (fun (_, y) -> y = x) table) in
-  Printf.sprintf
-    "config: verify=%s bitsim=%s sat_portfolio=%d serve_domains=%d sta=%s \
-     actsim=%s rewrite_beam=%d"
-    (name verifies c.verify) (name switches c.bitsim) c.sat_portfolio
-    c.serve_domains (name engines c.sta) (name engines c.actsim)
-    c.rewrite_beam
+  Printf.sprintf "config: verify=%s sat_portfolio=%d serve_domains=%d"
+    (fst (List.find (fun (_, v) -> v = c.verify) verifies))
+    c.sat_portfolio c.serve_domains

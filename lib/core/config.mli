@@ -1,30 +1,21 @@
-(** The engine switchboard: the seven environment settings that select an
-    engine or its oracle, parsed once per process.  An explicit argument
-    ([?verify], [?packed], [?mode], [?portfolio], [?domains], [?beam],
-    [?model]) always wins; the record supplies the default a caller leaves
-    out.  One rule covers all seven: unset gives the default, an accepted
-    value selects its engine, and anything else raises [Invalid_argument]
+(** The engine switchboard: the three environment settings that choose
+    how a result is proved and how many domains compute it, parsed once
+    per process.  An explicit argument ([?verify], [?portfolio],
+    [?domains]) always wins; the record supplies the default a caller
+    leaves out.  One rule covers all three: unset gives the default, an
+    accepted value selects it, and anything else raises [Invalid_argument]
     naming the variable and its accepted values. *)
-
-type engine = [ `Incremental | `Full ]
 
 type t = {
   verify : [ `Bdd | `Sat | `Off ];
       (** [LOWPOWER_VERIFY]: off (default), sat or bdd — the default
           [?verify] of every rewriting pass *)
-  bitsim : bool;
-      (** [LOWPOWER_BITSIM]: on (default) or off — off runs the scalar
-          oracles of the Monte-Carlo consumers and costs rewrites by the
-          independence model *)
   sat_portfolio : int;
       (** [LOWPOWER_SAT_PORTFOLIO]: 1 (default, sequential) to
           {!max_domains} solver lanes per [Cec] query *)
   serve_domains : int;
       (** [LOWPOWER_SERVE_DOMAINS]: 1 to {!max_domains} [Pool.map]
           workers; default the recommended domain count, at most 8 *)
-  sta : engine;  (** [LOWPOWER_STA]: incremental (default) or full *)
-  actsim : engine;  (** [LOWPOWER_ACTSIM]: incremental (default) or full *)
-  rewrite_beam : int;  (** [LOWPOWER_REWRITE_BEAM]: at least 1, default 4 *)
 }
 
 val max_domains : int
@@ -41,6 +32,5 @@ val get : unit -> t
     and shared by every domain afterwards.  Raises like {!of_lookup}. *)
 
 val to_string : t -> string
-(** One line naming every setting: [config: verify=off bitsim=on
-    sat_portfolio=1 serve_domains=2 sta=incremental actsim=incremental
-    rewrite_beam=4]. *)
+(** One line naming every setting: [config: verify=off sat_portfolio=1
+    serve_domains=2]. *)

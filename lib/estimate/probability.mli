@@ -32,13 +32,13 @@ val simulated :
 (** Monte-Carlo estimate from random functional simulation — the reference
     that exact estimation must agree with (used in tests).
 
-    By default ([packed] unset and Bitsim on in [Lowpower.Config]) the
-    network is compiled to the word-parallel engine ([Bitsim]): input
-    planes are drawn 63 vectors at a time ([Rng.bernoulli_word], one
-    independent [Rng.stream] per word block) and one-counts come from SWAR
-    popcounts.  Large runs shard word blocks across OCaml domains; the
-    per-block streams make the estimate independent of the sharding.
-    [~packed:false] forces the scalar path: one [Compiled.eval_into] per
+    By default ([packed] true) the network is compiled to the
+    word-parallel engine ([Bitsim]): input planes are drawn 63 vectors at
+    a time ([Rng.bernoulli_word], one independent [Rng.stream] per word
+    block) and one-counts come from SWAR popcounts.  Large runs shard word
+    blocks across OCaml domains; the per-block streams make the estimate
+    independent of the sharding.
+    [~packed:false] runs the scalar oracle: one [Compiled.eval_into] per
     vector.  The two paths draw different (equally valid) random planes,
     so their estimates agree statistically, not bit-for-bit; on a {e fixed}
     injected stream use {!empirical}, where packed and scalar counts are
@@ -47,7 +47,7 @@ val simulated :
 val empirical : ?packed:bool -> Network.t -> Stimulus.t -> t
 (** Per-node one-fraction over a given vector stream (the injected-plane
     form of {!simulated}; complements [Stimulus.empirical_probs], which
-    covers inputs only).  [packed] defaults like {!simulated}; both paths
+    covers inputs only).  [packed] defaults to true; both paths
     return exactly equal counts.  Raises [Invalid_argument] on an empty
     stream or arity mismatch. *)
 

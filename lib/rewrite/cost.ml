@@ -1,8 +1,7 @@
 (* Switching-activity cost of a rewrite candidate: elaborate to gates,
    then either measure settled toggles over the trace (the word-parallel
    [Bitsim] path, ~100 us per candidate) or take the independence-model
-   estimate (the search's default when [Lowpower.Config] turns Bitsim
-   off).  [Area] costs literals instead — the baseline E23 compares
+   estimate.  [Area] costs literals instead — the baseline E23 compares
    activity-driven search against. *)
 
 type model = Toggles | Independence | Area

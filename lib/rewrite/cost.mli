@@ -2,12 +2,11 @@
 
     The candidate is elaborated ({!Elaborate.to_network}) and costed
     under one of three models:
-    - {!Toggles} ({!Search.run}'s default while [Lowpower.Config]
-      enables Bitsim): settled gate-level transitions over the supplied
-      word trace, measured by [Bitsim.count_transitions] and weighted by
-      node capacitance — the "measured activity" signal of Simopt-Power;
-    - {!Independence}: the model-based fallback, {!Search.run}'s
-      default when [Lowpower.Config] turns Bitsim off — empirical
+    - {!Toggles} ({!Search.run}'s default): settled gate-level
+      transitions over the supplied word trace, measured by
+      [Bitsim.count_transitions] and weighted by node capacitance — the
+      "measured activity" signal of Simopt-Power;
+    - {!Independence}: the model-based estimate — empirical
       per-bit input probabilities propagated by the independence estimate
       ([Activity.zero_delay ~exact:false]), capacitance-weighted;
     - {!Area}: literal count, trace-blind — the baseline E23 compares

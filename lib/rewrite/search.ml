@@ -44,16 +44,10 @@ type state = { g : Dfg.t; c : float; trail : step list (* reversed *) }
 
 exception Undecided_proof
 
-let run ?(rules = Rules.all) ?beam ?(max_steps = 24) ?(patience = 2)
-    ?(samples = 64) ?(sat_budget = 60_000) ?(memo = Memo.create ()) ?model ~rng
-    dfg ~trace =
-  let cfg = Lowpower.Config.get () in
-  let beam = max 1 (Option.value beam ~default:cfg.rewrite_beam) in
-  let model =
-    match model with
-    | Some m -> m
-    | None -> if cfg.bitsim then Cost.Toggles else Cost.Independence
-  in
+let run ?(rules = Rules.all) ?(beam = 4) ?(max_steps = 24) ?(patience = 2)
+    ?(samples = 64) ?(sat_budget = 60_000) ?(memo = Memo.create ())
+    ?(model = Cost.Toggles) ~rng dfg ~trace =
+  let beam = max 1 beam in
   (* Every candidate is elaborated and costed over the original input
      set, so input positions line up for [Cec] and input-pin activity is
      charged identically across candidates. *)

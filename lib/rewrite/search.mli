@@ -57,7 +57,7 @@ val run :
   trace:(string * int) list list ->
   result
 (** Search from [dfg] under the word [trace].  [beam] (at least 1;
-    [1] = greedy) defaults to [rewrite_beam] of [Lowpower.Config];
+    [1] = greedy) defaults to 4;
     [max_steps] (default 24) bounds the depth;
     [patience] (default 2) stops after that many frontier advances
     without improving the best cost; [samples] (default 64) sets the
@@ -66,5 +66,4 @@ val run :
     candidate left undecided is skipped, never applied and never
     memoized; [memo] (default: a fresh cache private to this run) caches
     candidate costs and CEC verdicts across and within runs; [model]
-    defaults to [Cost.Toggles], or [Cost.Independence] when
-    [Lowpower.Config] turns Bitsim off. *)
+    defaults to [Cost.Toggles]. *)

@@ -226,7 +226,7 @@ let verify_packed t stg ~rng ~cycles =
   done;
   !ok
 
-let verify ?packed t stg ~rng ~cycles =
-  if Option.value packed ~default:(Lowpower.Config.get ()).bitsim then
+let verify ?(packed = true) t stg ~rng ~cycles =
+  if packed then
     verify_packed t stg ~rng ~cycles
   else verify_scalar t stg ~rng ~cycles

@@ -62,8 +62,7 @@ val simulate :
 
     Under [Zero_delay] the combinational transition counting behind
     [comb_energy] runs on the word-parallel engine ([Bitsim], 63 cycles per
-    machine word) unless [~packed:false] is passed or [Lowpower.Config]
-    turns Bitsim off, forcing the event-driven scalar path; the two paths
-    produce bit-identical stats.  Delay models with glitching always use
-    [Event_sim].  Raises [Invalid_argument] on arity mismatch or empty
-    stimulus. *)
+    machine word) unless [~packed:false] is passed, forcing the
+    event-driven scalar path; the two paths produce bit-identical stats.
+    Delay models with glitching always use [Event_sim].  Raises
+    [Invalid_argument] on arity mismatch or empty stimulus. *)

@@ -16,8 +16,6 @@
      flags, so each node is re-evaluated at most once per update and only
      after all its dirty predecessors. *)
 
-type mode = Incremental | Full
-
 type stats = {
   full_passes : int;
   updates : int;
@@ -31,7 +29,6 @@ type t = {
   nins : int;
   nvecs : int;
   nblocks : int;
-  mode : mode;
   ids : int array; (* index -> id, ascending (the Compiled convention) *)
   index : (Network.id, int) Hashtbl.t;
   is_input : bool array;
@@ -53,7 +50,6 @@ type t = {
   mutable s_words : int;
 }
 
-let mode t = t.mode
 let network t = t.net
 let size t = t.n
 let num_inputs t = t.nins
@@ -116,9 +112,7 @@ let compile_node t id =
   let fi = Array.of_list (List.map (index_of t) (Network.fanins t.net id)) in
   (fi, Bitsim.compile_word fi (Network.func t.net id))
 
-let create ?mode net ~trace =
-  let full = (Lowpower.Config.get ()).actsim = `Full in
-  let mode = Option.value mode ~default:(if full then Full else Incremental) in
+let create net ~trace =
   let vecs = Array.of_list trace in
   let nvecs = Array.length vecs in
   if nvecs = 0 then invalid_arg "Actsim.create: empty trace";
@@ -165,7 +159,7 @@ let create ?mode net ~trace =
   in
   let t =
     {
-      net; n; nins; nvecs; nblocks; mode; ids; index; is_input;
+      net; n; nins; nvecs; nblocks; ids; index; is_input;
       in_words; pair_mask; ones_mask;
       planes = Array.init nblocks (fun _ -> Array.make n 0);
       counts = Array.make n 0;
@@ -276,13 +270,8 @@ let update t id =
         t.fanouts.(g) <- Array.append t.fanouts.(g) [| x |])
     fi;
   if Array.exists (fun g -> t.pos.(g) > t.pos.(x)) fi then refresh_topo t;
-  match t.mode with
-  | Full ->
-    t.s_full <- t.s_full + 1;
-    full_pass t
-  | Incremental ->
-    push t x;
-    drain t
+  push t x;
+  drain t
 
 let stats t =
   {

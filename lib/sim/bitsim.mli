@@ -19,10 +19,10 @@
     word blocks can be sharded with one plane per domain (see
     [Probability.simulated]).
 
-    Every consumer with a scalar fallback ([Probability.simulated],
+    Every consumer with a scalar path ([Probability.simulated],
     [Seq_circuit.simulate], [Fsm_synth.verify]) takes this engine unless
-    [bitsim] of [Lowpower.Config] is off — the differential-oracle
-    configuration CI runs. *)
+    the caller passes [~packed:false]: the scalar oracles the
+    differential tests compare against. *)
 
 type t
 

@@ -19,10 +19,10 @@ let candidates net d =
     []
     (Dontcare.minimized_candidates d)
 
-let measured ?verify ?mode ?(max_fanin = 10) net ~trace =
+let measured ?verify ?(max_fanin = 10) net ~trace =
   let vmode = Verify.resolve verify in
   let before = if vmode = `Off then None else Some (Network.copy net) in
-  let sim = Actsim.create ?mode net ~trace in
+  let sim = Actsim.create net ~trace in
   let initial_score = Actsim.switched_capacitance sim in
   let changed = ref 0 and tried = ref 0 in
   let nodes =

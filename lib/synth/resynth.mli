@@ -17,12 +17,11 @@ type result = {
   tried : int;  (** candidate implementations measured *)
   initial_score : float;  (** measured switched capacitance before *)
   final_score : float;  (** measured switched capacitance after *)
-  sim : Actsim.stats;  (** engine work — the incremental-vs-full story *)
+  sim : Actsim.stats;  (** engine work: cone visits and word evaluations *)
 }
 
 val measured :
   ?verify:Verify.mode ->
-  ?mode:Actsim.mode ->
   ?max_fanin:int ->
   Network.t ->
   trace:Stimulus.t ->
@@ -35,6 +34,5 @@ val measured :
     original wins ties).  The network is mutated in place and stays
     functionally equivalent by construction; [verify] (default
     from [Lowpower.Config]) re-proves it and raises {!Verify.Failed} on a
-    mismatch.  [mode] pins the engine mode (default from [Lowpower.Config];
-    results are identical in both, only the work differs — see [stats]).
+    mismatch.
     Raises [Invalid_argument] on an empty trace or arity mismatch. *)

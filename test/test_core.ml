@@ -198,28 +198,17 @@ let mentions msg part =
    accepted values (every one CI sets among them) with what they parse
    to, then one malformed and one out-of-range value. *)
 let config_settings =
-  let engine = function `Incremental -> "incremental" | `Full -> "full" in
   [
     ( "LOWPOWER_VERIFY",
       (fun c ->
         match c.Config.verify with
         | `Off -> "off" | `Sat -> "sat" | `Bdd -> "bdd"),
       "off", [ ("sat", "sat"); ("bdd", "bdd"); ("off", "off") ], "yes", "SAT" );
-    ( "LOWPOWER_BITSIM", (fun c -> string_of_bool c.Config.bitsim),
-      "true", [ ("off", "false"); ("on", "true") ], "0", "disabled" );
     ( "LOWPOWER_SAT_PORTFOLIO", (fun c -> string_of_int c.Config.sat_portfolio),
       "1", [ ("2", "2"); ("1", "1"); ("128", "128") ], "two", "129" );
     ( "LOWPOWER_SERVE_DOMAINS", (fun c -> string_of_int c.Config.serve_domains),
       string_of_int (max 1 (min 8 (Domain.recommended_domain_count ()))),
       [ ("4", "4"); ("1", "1"); ("128", "128") ], " 4", "129" );
-    ( "LOWPOWER_STA", (fun c -> engine c.Config.sta),
-      "incremental", [ ("full", "full"); ("incremental", "incremental") ],
-      "fast", "Full" );
-    ( "LOWPOWER_ACTSIM", (fun c -> engine c.Config.actsim),
-      "incremental", [ ("full", "full"); ("incremental", "incremental") ],
-      "", "partial" );
-    ( "LOWPOWER_REWRITE_BEAM", (fun c -> string_of_int c.Config.rewrite_beam),
-      "4", [ ("1", "1"); ("4", "4"); ("16", "16") ], "4x", "0" );
   ]
 
 let config_test (var, field, default, accepted, malformed, out_of_range) () =
@@ -228,7 +217,7 @@ let config_test (var, field, default, accepted, malformed, out_of_range) () =
     (fun (v, expected) ->
       let c = config [ (var, v) ] in
       Alcotest.(check string) (var ^ "=" ^ v) expected (field c);
-      (* The other six settings keep their defaults. *)
+      (* The other settings keep their defaults. *)
       List.iter
         (fun (var', field', default', _, _, _) ->
           if var' <> var then
@@ -246,8 +235,7 @@ let config_test (var, field, default, accepted, malformed, out_of_range) () =
 
 let test_config_to_string () =
   Alcotest.(check string) "one line, every setting"
-    "config: verify=off bitsim=on sat_portfolio=1 serve_domains=2 \
-     sta=incremental actsim=incremental rewrite_beam=4"
+    "config: verify=off sat_portfolio=1 serve_domains=2"
     (Config.to_string (config [ ("LOWPOWER_SERVE_DOMAINS", "2") ]));
   Alcotest.(check string) "get parses the process environment"
     (Config.to_string (Config.of_lookup Sys.getenv_opt))

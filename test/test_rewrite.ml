@@ -394,8 +394,8 @@ let test_budgeted_session () =
   | `Witness _ -> Alcotest.fail "sound rewrite refuted on retry"
   | `Undecided -> Alcotest.fail "generous retry budget exhausted"
 
-(* The search behaves under the fallback cost model too (what the
-   LOWPOWER_BITSIM=off CI pass exercises end to end). *)
+(* The search behaves under the independence cost model too, which it
+   runs only when a caller asks for it with [~model]. *)
 let test_search_independence_model () =
   let r = rng () in
   let dfg = Gen_dfg.fir ~taps:3 ~width:5 () in

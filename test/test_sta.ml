@@ -37,7 +37,7 @@ let test_incremental_matches_full =
       let g = Network.timing_graph net in
       let delays = delays_of net g in
       let required = 1.25 *. Network.critical_delay net in
-      let sta = Sta.create ~mode:Sta.Incremental ~required g delays in
+      let sta = Sta.create ~required g delays in
       ignore (Sta.required_array sta);
       let live = Array.of_list (Network.node_ids net) in
       for _ = 1 to 20 do
@@ -45,15 +45,14 @@ let test_incremental_matches_full =
         Sta.set_delay sta x (random_delay r);
         delays.(x) <- Sta.delay sta x
       done;
-      let oracle = Sta.create ~mode:Sta.Full ~required g delays in
+      let oracle = Sta.create ~required g delays in
       arrays_equal "arrivals" (Sta.arrival_array oracle)
         (Sta.arrival_array sta);
       arrays_equal "requireds" (Sta.required_array oracle)
         (Sta.required_array sta);
       (* worst_slack avoids materializing requireds; it must still agree
          exactly with the slack of the latest sink. *)
-      Sta.worst_slack sta = Sta.required_limit sta -. Sta.critical_delay sta
-      && Sta.mode sta = Sta.Incremental)
+      Sta.worst_slack sta = Sta.required_limit sta -. Sta.critical_delay sta)
 
 let test_revert_exactness () =
   let net = gen_net 77 ~gates:120 in
@@ -79,7 +78,7 @@ let test_revert_exactness () =
 let test_lazy_required_materialization () =
   let net = gen_net 5 ~gates:60 in
   let g = Network.timing_graph net in
-  let sta = Sta.create ~mode:Sta.Incremental g (delays_of net g) in
+  let sta = Sta.create g (delays_of net g) in
   let st = Sta.stats sta in
   Alcotest.(check int) "creation = one forward pass" 1 st.Sta.full_passes;
   let x =
@@ -282,7 +281,7 @@ let normalized net =
 
 let test_dualvth_feasible_and_saves () =
   List.iter
-    (fun name ->
+    (fun (name, moves, power) ->
       let m, probs = mapped name in
       let before = Network.copy (Mapper.netlist m) in
       let r = Dualvth.optimize_mapping m ~input_probs:probs in
@@ -308,6 +307,18 @@ let test_dualvth_feasible_and_saves () =
         = Network.structural_hash (normalized r.Dualvth.net));
       Alcotest.(check bool) (name ^ ": function untouched") true
         (networks_equivalent before r.Dualvth.net);
+      (* End-state oracle: the slack the incremental engine reports for
+         the last step is exactly a fresh full timing pass over the
+         written-back delays (max-folds are exact, hence [=]).  Stale
+         arrivals show up here; stale requireds misorder the slack-driven
+         moves, which the pinned move count and final power catch. *)
+      let fresh = r.Dualvth.required -. Network.critical_delay r.Dualvth.net in
+      if sf.Dualvth.worst_slack <> fresh then
+        Alcotest.failf "%s: final worst slack %h, fresh full timing %h" name
+          sf.Dualvth.worst_slack fresh;
+      Alcotest.(check int) (name ^ ": pinned move count") moves r.Dualvth.moves;
+      Alcotest.(check string) (name ^ ": pinned final power") power
+        (Printf.sprintf "%h" (P.total sf.Dualvth.power));
       (* The written-back annotations agree with the assignment. *)
       List.iter
         (fun (id, (cl : Techlib.cell)) ->
@@ -316,7 +327,9 @@ let test_dualvth_feasible_and_saves () =
             cl.Techlib.leak
             (Network.leak r.Dualvth.net id))
         r.Dualvth.assignment)
-    [ "adder"; "comparator"; "multiplier" ]
+    [ ("adder", 55, "0x1.28c5f86251406p-13");
+      ("comparator", 87, "0x1.9bc15dfa392bdp-13");
+      ("multiplier", 102, "0x1.7540121ed97c6p-13") ]
 
 let test_dualvth_leakage_budget () =
   let m, probs = mapped "multiplier" in
