@@ -257,17 +257,121 @@ let satisfiable ?portfolio ?on_stats net name =
 (* Incremental sessions                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Source tables for sweeping candidates into a session, built on the
+   first {!session_encode} so never-true obligations pay nothing.  Indices
+   are the source's compact ones.
+   - [strash] maps a node key (local function, canonical fanin literals)
+     to the literal of the first source node with that key; [canon] is
+     that canonical literal for every node, so structurally duplicated
+     source nodes share one literal, and [outputs] the canonical literal
+     of every output.
+   - [planes.(r)] holds every node's value under the input words
+     [stimulus.(r)] (63 random vectors per round); [by_sig] indexes the
+     nodes, one per canonical variable, by the hash of their
+     polarity-normalized signature, with equality checked on the planes
+     themselves. *)
+module Strash = Hashtbl.Make (struct
+  type t = Expr.t * Solver.lit array
+
+  let equal (f, ls) (g, ms) = ls = ms && Expr.equal f g
+
+  let hash (f, ls) =
+    Array.fold_left (fun h l -> (h * 65599) + l) (Hashtbl.hash f) ls
+    land max_int
+end)
+
+type tables = {
+  strash : Solver.lit Strash.t;
+  canon : Solver.lit array;
+  outputs : (string * Solver.lit) list;
+  stimulus : int array array;
+  planes : int array array;
+  by_sig : (int, int) Hashtbl.t;
+}
+
 type session = {
   base : Network.t;
   s : Solver.t;
   env : Cnf.env;
   mutable retired : int;  (* activation literals retired since last simplify *)
+  tables : tables Lazy.t;
 }
+
+let sweep_rounds = 4
+let sweep_seed = 0x5eed
+
+(* A candidate node whose signature matches several source nodes tries at
+   most this many of them, so a signature shared by many near-constant
+   nodes cannot turn one node into a quadratic run of solves. *)
+let merge_tries = 3
+
+(* Signatures are compared up to complement: every word is XORed with
+   the mask that clears lane 0 of the first round. *)
+let polarity planes x = -(planes.(0).(x) land 1)
+
+let sig_hash planes x =
+  let m = polarity planes x in
+  Array.fold_left (fun h p -> (h * 1_000_003) lxor (p.(x) lxor m)) 0 planes
+  land max_int
+
+let simulate stimulus net =
+  let bs = Bitsim.of_network net in
+  (Bitsim.compiled bs, Array.map (Bitsim.eval bs) stimulus)
+
+let build_tables net env =
+  let rng = Lowpower.Rng.create sweep_seed in
+  let n = List.length (Network.inputs net) in
+  let stimulus =
+    Array.init sweep_rounds (fun _ ->
+        Array.init n (fun _ -> Lowpower.Rng.bernoulli_word rng 0.5))
+  in
+  let c, planes = simulate stimulus net in
+  let canon = Array.make (Compiled.size c) 0 in
+  Array.iteri (fun k x -> canon.(x) <- env.Cnf.inputs.(k)) (Compiled.inputs c);
+  let strash = Strash.create 256 in
+  Array.iter
+    (fun x ->
+      if not (Compiled.is_input c x) then begin
+        let key =
+          ( Compiled.local_func c x,
+            Array.map (Array.get canon) (Compiled.fanins c x) )
+        in
+        canon.(x) <-
+          (match Strash.find_opt strash key with
+          | Some l -> l
+          | None ->
+            let l = Cnf.lit_of_node env (Compiled.id_of_index c x) in
+            Strash.replace strash key l;
+            l)
+      end)
+    (Compiled.topo c);
+  (* One entry per canonical variable (its first node), added in reverse
+     topological order so [Hashtbl.find_all] lists a signature's nodes
+     inputs-first. *)
+  let seen = Hashtbl.create 256 in
+  let reps =
+    Array.fold_left
+      (fun acc x ->
+        let v = Solver.var_of canon.(x) in
+        if Hashtbl.mem seen v then acc
+        else begin
+          Hashtbl.replace seen v ();
+          x :: acc
+        end)
+      [] (Compiled.topo c)
+  in
+  let by_sig = Hashtbl.create 256 in
+  List.iter (fun x -> Hashtbl.add by_sig (sig_hash planes x) x) reps;
+  let outputs =
+    Array.to_list
+      (Array.map (fun (nm, x) -> (nm, canon.(x))) (Compiled.outputs c))
+  in
+  { strash; canon; outputs; stimulus; planes; by_sig }
 
 let session net =
   let s = Solver.create () in
   let env = Cnf.add_network s net in
-  { base = net; s; env; retired = 0 }
+  { base = net; s; env; retired = 0; tables = lazy (build_tables net env) }
 
 let session_stats sess = Solver.stats sess.s
 
@@ -377,21 +481,108 @@ type handle = {
   mutable h_retired : bool;
 }
 
+(* A source literal standing in for a candidate node is frozen: solves
+   interleave with encoding, so preprocessing must not eliminate a
+   variable later clauses or assumptions mention ([freeze] also restores
+   one it already eliminated). *)
+let reuse sess l =
+  Solver.freeze sess.s (Solver.var_of l);
+  l
+
+(* [l] (candidate, under [act]) equals [lb] (source) on every input iff
+   both directions of their XOR are refuted.  A satisfiable direction
+   just leaves the pair unmerged. *)
+let proved_equal sess act l lb =
+  let lb = reuse sess lb in
+  Solver.solve ~assumptions:[ act; l; Solver.negate lb ] sess.s = Solver.Unsat
+  && Solver.solve ~assumptions:[ act; Solver.negate l; lb ] sess.s
+     = Solver.Unsat
+
+(* Encode [other] in topological order.  A node whose key (function,
+   fanin literals) matches a source node or an earlier candidate node
+   takes that node's literal.  Otherwise it is encoded under [act], and if
+   its simulation signature matches a source node's (up to complement)
+   and SAT proves the two equal, the source literal replaces it for every
+   later fanout — so the cones above proved-equal points fold back onto
+   the source's own literals and most output miters become literally
+   trivial. *)
 let session_encode sess other =
   validate sess.base other;
+  let t = Lazy.force sess.tables in
   let act = fresh_activation sess in
-  let env_o =
-    Cnf.add_network ~inputs:sess.env.Cnf.inputs ~activation:act sess.s other
+  let lits = Hashtbl.create 256 in
+  List.iteri
+    (fun k i -> Hashtbl.replace lits i sess.env.Cnf.inputs.(k))
+    (Network.inputs other);
+  let local = Strash.create 64 in
+  let sim = lazy (simulate t.stimulus other) in
+  let merge i l =
+    let c, planes = Lazy.force sim in
+    let x = Compiled.index_of_id c i in
+    let m = polarity planes x in
+    let matches sx =
+      let ms = polarity t.planes sx in
+      let rec same r =
+        r = sweep_rounds
+        || planes.(r).(x) lxor m = t.planes.(r).(sx) lxor ms && same (r + 1)
+      in
+      same 0
+    in
+    let rec attempt tries = function
+      | sx :: rest when tries > 0 ->
+        if not (matches sx) then attempt tries rest
+        else begin
+          let lb = t.canon.(sx) in
+          let lb = if m = polarity t.planes sx then lb else Solver.negate lb in
+          if proved_equal sess act l lb then lb else attempt (tries - 1) rest
+        end
+      | _ -> l
+    in
+    attempt merge_tries (Hashtbl.find_all t.by_sig (sig_hash planes x))
   in
+  List.iter
+    (fun i ->
+      if not (Network.is_input other i) then begin
+        let f = Network.func other i in
+        let fanins =
+          Array.of_list (List.map (Hashtbl.find lits) (Network.fanins other i))
+        in
+        let key = (f, fanins) in
+        let l =
+          match Strash.find_opt t.strash key with
+          | Some l -> reuse sess l
+          | None -> (
+            match Strash.find_opt local key with
+            | Some l -> l
+            | None ->
+              let fresh = Solver.num_vars sess.s in
+              let l =
+                Cnf.lit_of_expr ~activation:act sess.s
+                  ~leaf:(fun v -> fanins.(v))
+                  f
+              in
+              (* Only a newly defined variable is worth a merge: a buffer
+                 or inverter returns its fanin's literal. *)
+              let l = if Solver.var_of l >= fresh then merge i l else l in
+              Strash.replace local key l;
+              l)
+        in
+        Hashtbl.replace lits i l
+      end)
+    (Network.topo_order other);
+  let outs = Network.outputs other in
   let miters =
-    List.map
+    List.filter_map
       (fun nm ->
-        let la = Cnf.lit_of_output sess.env nm in
-        let lb = Cnf.lit_of_output env_o nm in
-        ( nm,
-          Cnf.lit_of_expr ~activation:act sess.s
-            ~leaf:(fun v -> if v = 0 then la else lb)
-            Expr.(var 0 ^^^ var 1) ))
+        let la = reuse sess (List.assoc nm t.outputs) in
+        let lb = Hashtbl.find lits (List.assoc nm outs) in
+        if la = lb then None
+        else
+          Some
+            ( nm,
+              Cnf.lit_of_expr ~activation:act sess.s
+                ~leaf:(fun v -> if v = 0 then la else lb)
+                Expr.(var 0 ^^^ var 1) ))
       (output_names sess.base)
   in
   { h_net = other; h_act = act; h_miters = miters; h_retired = false }

@@ -17,15 +17,26 @@
     Two throughput mechanisms sit on top of the one-shot check.
     {e Sessions} ({!session}) keep one live solver holding the Tseitin
     encoding of a base network and discharge a stream of obligations
-    against it — each obligation encodes only its suffix, guarded by an
-    activation literal that is assumed during its check and retired (unit
-    negated, then reclaimed by {!Solver.simplify}) afterwards, so learned
-    clauses accumulate across obligations instead of being rebuilt.
+    against it — each obligation encodes only what the base lacks,
+    guarded by an activation literal that is assumed during its check and
+    retired (unit negated, then reclaimed by {!Solver.simplify})
+    afterwards, so learned clauses accumulate across obligations instead
+    of being rebuilt.  Equivalence obligations ({!session_encode},
+    {!session_check}) are {e swept} into the session, sim-then-SAT in the
+    manner of fraiging: a candidate node structurally identical to a
+    base node (same function over the same fanin literals) reuses the
+    base literal, and one whose simulation signature matches a base
+    node's (up to complement) is proved equal by two small assumption
+    solves and then replaced by the base literal, so a derivative of the
+    base folds back onto the base's own literals and most output miters
+    vanish without a solve.  The strash and signature tables are built on
+    the first equivalence obligation; never-true obligations
+    ({!session_never_true}) do not pay for them.
     {e Portfolios} race [N] diversified solvers on one hard query via
     {!Solver.solve_portfolio}; the lane count defaults to
     [sat_portfolio] of [Lowpower.Config] (1, sequential, unless
-    [LOWPOWER_SAT_PORTFOLIO] says otherwise).  The one-shot path is the
-    oracle the session path is property-tested against. *)
+    [LOWPOWER_SAT_PORTFOLIO] says otherwise).  The one-shot {!check} is
+    the oracle the session path is property-tested against. *)
 
 type outcome =
   | Equivalent
@@ -82,8 +93,10 @@ val satisfiable :
 (** {1 Incremental sessions} *)
 
 type session
-(** One live solver holding the Tseitin encoding of a base network, plus
-    the retirement bookkeeping for per-obligation activation literals. *)
+(** One live solver holding the Tseitin encoding of a base network, the
+    retirement bookkeeping for per-obligation activation literals, and
+    (once an equivalence obligation arrives) the base's strash and
+    simulation-signature tables. *)
 
 val session : Network.t -> session
 (** Encode the base network once.  Obligations checked against the
@@ -117,24 +130,37 @@ val session_never_true_within :
     Exceptions as {!session_never_true}. *)
 
 val session_check : session -> Network.t -> outcome
-(** [session_check sess other]: per-output miter check of [other] against
-    the session's base over shared input literals, one assumption-guarded
-    SAT call per output — no simulation pre-filter, no re-encoding of the
-    base.  [other]'s encoding is activation-guarded and retired after the
-    verdict.  Counterexamples are replay-confirmed as in {!check}.
-    Raises [Invalid_argument] as {!check}. *)
+(** [session_check sess other]: equivalence of [other] against the
+    session's base over shared input literals, without re-encoding the
+    base — {!session_encode}, {!session_recheck}, then
+    {!session_retire}.  Counterexamples are replay-confirmed as in
+    {!check}.  Raises [Invalid_argument] as {!check}. *)
 
 type handle
 (** An operand network encoded into a session but not yet retired, so its
     per-output checks can be re-discharged without re-encoding. *)
 
 val session_encode : session -> Network.t -> handle
-(** Encode an operand (shared inputs, activation-guarded, per-output
-    miter literals) without solving.  Raises [Invalid_argument] as
+(** Sweep an operand into the session in topological order, under a
+    fresh activation literal.  Each node takes, in order of preference:
+    - the literal of a base node, or an earlier node of the operand, with
+      the same function over the same fanin literals (structural hashing:
+      no variables, no clauses);
+    - otherwise its own Tseitin encoding, replaced by a base node's
+      literal (or its complement) when their signatures on the session's
+      fixed-seed simulation words match and both directions of their XOR
+      are refuted under the activation literal.  A satisfiable direction
+      leaves the node unmerged; nothing but a proof merges.
+    Output pairs whose literals end up identical are discharged here;
+    each remaining pair gets an activation-guarded XOR miter literal for
+    {!session_recheck}.  The first call builds the base's strash and
+    signature tables.  Merge proofs learn clauses that later obligations
+    keep; a merge itself adds nothing to the clause database, so it
+    cannot leak into another operand.  Raises [Invalid_argument] as
     {!check}. *)
 
 val session_recheck : session -> handle -> outcome
-(** Discharge every per-output miter of the handle — assumption solves
+(** Discharge every per-output miter the sweep left — assumption solves
     only; after the first call, later calls ride entirely on retained
     learned clauses.  Raises [Invalid_argument] on a retired handle. *)
 

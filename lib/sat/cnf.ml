@@ -66,7 +66,7 @@ let freeze_boundary ?activation s input_arr out_lits =
   List.iter (fun l -> Solver.freeze s (Solver.var_of l)) out_lits;
   Option.iter (fun act -> Solver.freeze s (Solver.var_of act)) activation
 
-let add_network ?inputs ?activation s net =
+let add_network ?inputs s net =
   let ins = Network.inputs net in
   let input_arr = input_lits ?inputs s (List.length ins) in
   let nodes = Hashtbl.create 256 in
@@ -79,14 +79,12 @@ let add_network ?inputs ?activation s net =
             (List.map (fun j -> Hashtbl.find nodes j) (Network.fanins net i))
         in
         let l =
-          lit_of_expr ?activation s
-            ~leaf:(fun v -> fanins.(v))
-            (Network.func net i)
+          lit_of_expr s ~leaf:(fun v -> fanins.(v)) (Network.func net i)
         in
         Hashtbl.replace nodes i l
       end)
     (Network.topo_order net);
-  freeze_boundary ?activation s input_arr
+  freeze_boundary s input_arr
     (List.map (fun (_, o) -> Hashtbl.find nodes o) (Network.outputs net));
   { net; inputs = input_arr; nodes }
 

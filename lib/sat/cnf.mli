@@ -34,7 +34,6 @@ val lit_of_expr :
 
 val add_network :
   ?inputs:Solver.lit array ->
-  ?activation:Solver.lit ->
   Solver.t ->
   Network.t ->
   env

@@ -159,11 +159,21 @@ let run ?(name = "circuit") ?strategies ?input_probs ?trace
     | None -> estimated_score n ~input_probs:probs
   in
   let source_score = score net in
-  let sess = Cec.session net in
+  (* Opened on the first cache miss: a tournament whose verdicts all come
+     from [memo] never encodes the source. *)
+  let sess = ref None in
+  let session () =
+    match !sess with
+    | Some s -> s
+    | None ->
+      let s = Cec.session net in
+      sess := Some s;
+      s
+  in
   let verify cand_net =
     match
       Memo.check_with memo net cand_net (fun () ->
-          Cec.session_check sess cand_net)
+          Cec.session_check (session ()) cand_net)
     with
     | Cec.Equivalent -> Verified
     | Cec.Counterexample v -> Refuted v
@@ -219,7 +229,10 @@ let run ?(name = "circuit") ?strategies ?input_probs ?trace
       source_score;
       margin = (if margin = infinity then 0.0 else margin);
       candidates = List.map fst field;
-      sat = Cec.session_stats sess;
+      sat =
+        (match !sess with
+        | Some s -> Cec.session_stats s
+        | None -> Solver.empty_stats);
     }
 
 (* FSM encoding tournaments *)

@@ -79,7 +79,9 @@ type promotion = {
           [0.] when the champion is the only verified candidate *)
   candidates : candidate list;  (** roster order, failures included *)
   sat : Solver.stats;
-      (** session effort for all verification in this tournament *)
+      (** session effort for all verification in this tournament;
+          {!Solver.empty_stats} when every verdict came from the cache
+          (the session is opened on the first miss) *)
 }
 
 val run :

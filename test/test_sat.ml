@@ -638,6 +638,134 @@ let prop_session_agrees_with_oneshot =
       in
       incremental = oneshot)
 
+(* --- swept sessions: structural hashing and proved merges --- *)
+
+let logic_nodes net =
+  List.filter (fun i -> not (Network.is_input net i)) (Network.node_ids net)
+
+(* Negate one random logic node. *)
+let mutant_negate r net =
+  let m = Network.copy net in
+  let logic = logic_nodes m in
+  let victim = List.nth logic (Lowpower.Rng.int r (List.length logic)) in
+  Network.replace_func m victim
+    (Expr.not_ (Network.func m victim))
+    (Network.fanins m victim);
+  m
+
+(* Flip the deepest node on a single primary-input minterm.  With 14
+   inputs that is 2^-14 of the input space: the session's simulation
+   signatures (and the one-shot filter) almost surely miss it, so the
+   node and its fanout cone collide with their source counterparts and
+   only SAT can refute the merge — or the output miter. *)
+let mutant_minterm r net =
+  let m = Network.copy net in
+  let logic = logic_nodes m in
+  let deep =
+    List.fold_left
+      (fun best i ->
+        if Network.level m i > Network.level m best then i else best)
+      (List.hd logic) logic
+  in
+  let ins = Network.inputs m in
+  let minterm =
+    Expr.and_list
+      (List.mapi
+         (fun v _ ->
+           if Lowpower.Rng.bool r then Expr.var v else Expr.not_ (Expr.var v))
+         ins)
+  in
+  let flip = Network.add_node m minterm ins in
+  let fanins = Network.fanins m deep in
+  Network.replace_func m deep
+    Expr.(Network.func m deep ^^^ var (List.length fanins))
+    (fanins @ [ flip ]);
+  m
+
+(* Behaviour-preserving derivatives, as the tournament strategies make
+   them. *)
+let derivatives net =
+  let cleaned = Network.copy net in
+  ignore (Cleanup.run cleaned);
+  let dc = Network.copy net in
+  ignore (Dontcare.optimize ~verify:`Off dc Dontcare.For_area);
+  [ cleaned; dc; Subject.decompose net; fst (Balance.balance ~verify:`Off net) ]
+
+let equal_verdict net cand = function
+  | Cec.Equivalent -> true
+  | Cec.Counterexample vec ->
+    if not (Cec.replay net cand vec) then
+      Alcotest.fail "counterexample failed replay";
+    false
+
+(* Differential: every candidate gets the one-shot verdict, a fresh
+   session's verdict and the verdict of one session shared by all the
+   net's candidates, mutants interleaved with equivalents — so a merge
+   or an obligation of one candidate leaking into the next would show as
+   a disagreement. *)
+let prop_swept_session_agrees =
+  prop ~count:80 "swept session agrees with one-shot on derivatives and mutants"
+    QCheck2.Gen.(
+      map2
+        (fun seed gates ->
+          ( seed,
+            Gen_comb.random
+              (Lowpower.Rng.create seed)
+              {
+                Gen_comb.num_inputs = 14;
+                num_gates = 10 + gates;
+                max_fanin = 3;
+                output_fraction = 0.25;
+              } ))
+        (int_bound 100_000) (int_bound 20))
+    (fun (seed, net) ->
+      let r = Lowpower.Rng.create (seed + 7) in
+      let mutants =
+        [ mutant_minterm r net; mutant_negate r net;
+          mutant_minterm r (Subject.decompose net) ]
+      in
+      let rec interleave xs ys =
+        match (xs, ys) with
+        | x :: xs, y :: ys -> x :: y :: interleave xs ys
+        | [], rest | rest, [] -> rest
+      in
+      let shared = Cec.session net in
+      List.for_all
+        (fun cand ->
+          let oneshot = equal_verdict net cand (Cec.check ~seed net cand) in
+          let fresh =
+            equal_verdict net cand (Cec.session_check (Cec.session net) cand)
+          in
+          let swept = equal_verdict net cand (Cec.session_check shared cand) in
+          oneshot = fresh && fresh = swept)
+        (interleave mutants (derivatives net)))
+
+(* Effort, in deterministic solver counters: a copy of the source is
+   proved by structural hashing alone, and the 6x6 multiplier's NAND2/INV
+   decomposition by local merge proofs rather than one whole-multiplier
+   miter per output (which costs over 6,000 conflicts). *)
+let test_swept_session_effort () =
+  let base = (Circuits.array_multiplier 6).Circuits.net in
+  let sess = Cec.session base in
+  let conflicts () = (Cec.session_stats sess).Solver.conflicts in
+  (match Cec.session_check sess (Network.copy base) with
+  | Cec.Equivalent -> ()
+  | Cec.Counterexample _ -> Alcotest.fail "session refuted a copy");
+  Alcotest.(check int) "copy costs no conflicts" 0 (conflicts ());
+  (match Cec.session_check sess (Subject.decompose base) with
+  | Cec.Equivalent -> ()
+  | Cec.Counterexample _ -> Alcotest.fail "session refuted the decomposition");
+  let spent = conflicts () in
+  if spent >= 1000 then
+    Alcotest.failf "decomposition took %d conflicts (limit 1000)" spent;
+  (* A minterm mutant of the decomposition is still refuted afterwards. *)
+  let m = mutant_minterm (rng ()) (Subject.decompose base) in
+  match Cec.session_check sess m with
+  | Cec.Equivalent -> Alcotest.fail "session missed a minterm mutant"
+  | Cec.Counterexample vec ->
+    Alcotest.(check bool) "mutant counterexample replays" true
+      (Cec.replay base m vec)
+
 (* Satellite: on random networks, SAT-based CEC agrees with the BDD oracle
    whenever the BDDs stay under a node cap (they always do at this size). *)
 let prop_cec_agrees_with_bdd =
@@ -728,5 +856,7 @@ let suite =
     quick "cec session never-true obligations" test_cec_session_never_true;
     quick "verify sessions on guard/precompute" test_verify_session_on_passes;
     prop_session_agrees_with_oneshot;
+    prop_swept_session_agrees;
+    quick "swept session effort on mult6" test_swept_session_effort;
     prop_cec_agrees_with_bdd;
   ]

@@ -385,7 +385,11 @@ let test_tournament_memo_transparent () =
   Alcotest.(check string) "same champion" plain.Tournament.champion
     warm.Tournament.champion;
   Alcotest.(check bool) "warm run hit the cache" true
-    ((Memo.stats memo).Memo.hits > 0)
+    ((Memo.stats memo).Memo.hits > 0);
+  (* Every warm verdict came from the cache, so the warm run never opened
+     a CEC session. *)
+  Alcotest.(check bool) "all-cached run reports empty SAT stats" true
+    (warm.Tournament.sat = Solver.empty_stats)
 
 let test_fsm_tournament () =
   let stg = Gen_fsm.counter ~bits:3 in
