@@ -1286,7 +1286,7 @@ let e24_measured_feedback () =
   T.note t
     (Printf.sprintf
        "engine: %d candidate installs re-measured in %d incremental node \
-        visits / %d word evals, %d full passes (create + oracle mode only)"
+        visits / %d word evals, %d full passes (create only)"
        r.Resynth.sim.Actsim.updates r.Resynth.sim.Actsim.node_visits
        r.Resynth.sim.Actsim.word_evals r.Resynth.sim.Actsim.full_passes);
   let a = Annotation.measure net ~trace in

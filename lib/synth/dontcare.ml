@@ -29,24 +29,127 @@ let global_odc net man globals n =
    the primary inputs, in the interleaved order; the per-node fanin
    variables y are appended below them in index order, exactly as in a
    fresh manager, so every BDD is the one a fresh per-node analysis would
-   build. *)
+   build.
+
+   Next to it sits a value plane: [vals.(w).(i)] is word [w] of node
+   [i]'s values under fixed random input words, 63 vectors per word,
+   indexed by node id.  A lane is a real input vector, so the fanin code
+   it shows at a node is never a satisfiability don't-care, and a lane
+   where complementing the node changes an output proves that code
+   observable.  [analyze] uses such witnesses to skip the BDD
+   observability computation where they already settle it. *)
 type session = {
   net : Network.t;
   man : Bdd.man;
   globals : (Network.id, Bdd.t) Hashtbl.t;
   npi : int;
   mutable compacted : int; (* live nodes after the last compaction *)
+  vals : int array array;
+  eval_fn : (int array -> int) array;
+  is_output : bool array;
+  saved : int array; (* scratch: cone values before a flip *)
+  mark : int array; (* cone traversal stamps *)
+  mutable stamp : int;
 }
 
 (* Compact once the store holds this many times what it held after the
    last compaction. *)
 let compact_factor = 2
 
+(* 4 x 63 = 252 simulated vectors, from a fixed seed. *)
+let plane_words = 4
+let plane_seed = 0xdc5eed
+
+let compile_node net n =
+  Bitsim.compile_word
+    (Array.of_list (Network.fanins net n))
+    (Network.func net n)
+
 let open_session net =
   let man = Bdd.manager () in
   let globals = Network.global_bdds net man in
+  let size = 1 + List.fold_left max (-1) (Network.node_ids net) in
+  let logic =
+    List.filter (fun i -> not (Network.is_input net i)) (Network.topo_order net)
+  in
+  let eval_fn = Array.make size (fun (_ : int array) -> 0) in
+  List.iter (fun i -> eval_fn.(i) <- compile_node net i) logic;
+  let rng = Lowpower.Rng.create plane_seed in
+  let vals =
+    Array.init plane_words (fun _ ->
+        let p = Array.make size 0 in
+        List.iter
+          (fun i -> p.(i) <- Lowpower.Rng.bernoulli_word rng 0.5)
+          (Network.inputs net);
+        List.iter (fun i -> p.(i) <- eval_fn.(i) p) logic;
+        p)
+  in
+  let is_output = Array.make size false in
+  List.iter (fun (_, o) -> is_output.(o) <- true) (Network.outputs net);
   { net; man; globals; npi = List.length (Network.inputs net);
-    compacted = Bdd.node_count man }
+    compacted = Bdd.node_count man; vals; eval_fn; is_output;
+    saved = Array.make size 0; mark = Array.make size 0; stamp = 0 }
+
+(* [n] and its transitive fanout in topological order, [n] first: the
+   reverse postorder of a depth-first walk along fanout edges. *)
+let fanout_cone s n =
+  s.stamp <- s.stamp + 1;
+  let order = ref [] in
+  let rec visit i =
+    if s.mark.(i) <> s.stamp then begin
+      s.mark.(i) <- s.stamp;
+      List.iter visit (Network.fanouts s.net i);
+      order := i :: !order
+    end
+  in
+  visit n;
+  !order
+
+(* Lanes of word [w] in which complementing [n] changes some primary
+   output; [cone] is [fanout_cone s n].  The plane is left as found. *)
+let flip_lanes s n cone w =
+  let p = s.vals.(w) and saved = s.saved in
+  let lanes =
+    List.fold_left
+      (fun acc i ->
+        saved.(i) <- p.(i);
+        p.(i) <- (if i = n then lnot p.(i) else s.eval_fn.(i) p);
+        if s.is_output.(i) then acc lor (p.(i) lxor saved.(i)) else acc)
+      0 cone
+  in
+  List.iter (fun i -> p.(i) <- saved.(i)) cone;
+  lanes
+
+(* Does the plane witness an observable lane for every fanin code of [n]
+   outside the satisfiability don't-cares [sdc]?  Then no code has an
+   observability don't-care beyond [sdc], so [sdc] is the exact set. *)
+let witnessed s n fanins sdc =
+  let k = Array.length fanins in
+  let need = Truth_table.num_minterms sdc - Truth_table.ones sdc in
+  need <= plane_words * Bitsim.vectors_per_word
+  &&
+  let cone = fanout_cone s n in
+  let seen = Bytes.make (1 lsl k) '\000' in
+  let found = ref 0 and w = ref 0 in
+  while !found < need && !w < plane_words do
+    let p = s.vals.(!w) in
+    let lanes = flip_lanes s n cone !w in
+    for l = 0 to Bitsim.vectors_per_word - 1 do
+      if (lanes lsr l) land 1 = 1 then begin
+        let code = ref 0 in
+        for j = 0 to k - 1 do
+          code := !code lor (((p.(fanins.(j)) lsr l) land 1) lsl j)
+        done;
+        if Bytes.get seen !code = '\000' && not (Truth_table.get sdc !code)
+        then begin
+          Bytes.set seen !code '\001';
+          incr found
+        end
+      end
+    done;
+    incr w
+  done;
+  !found = need
 
 (* Global function of [e] installed at [n], over [n]'s fanins. *)
 let global_of s n e =
@@ -54,10 +157,17 @@ let global_of s n e =
     (Array.of_list (List.map (Hashtbl.find s.globals) (Network.fanins s.net n)))
     e
 
+(* Bring the table and the plane up to date after [n] was re-implemented:
+   only [n]'s fanout cone can have changed. *)
 let refresh s n =
   Hashtbl.iter (Hashtbl.replace s.globals)
     (Network.global_cone s.net s.man s.globals ~node:n
-       (global_of s n (Network.func s.net n)))
+       (global_of s n (Network.func s.net n)));
+  s.eval_fn.(n) <- compile_node s.net n;
+  let cone = fanout_cone s n in
+  Array.iter
+    (fun p -> List.iter (fun i -> p.(i) <- s.eval_fn.(i) p) cone)
+    s.vals
 
 let maybe_compact s =
   if Bdd.node_count s.man > compact_factor * s.compacted then begin
@@ -84,24 +194,30 @@ let analyze s n =
          fanins)
   in
   let sdc = Bdd.not_ man (Bdd.exists man pis consistency) in
-  (* Observability: where no output can see [n]. *)
-  let odc_global = global_odc net man s.globals n in
-  (* y is a local ODC iff every x consistent with y is globally
-     unobservable; the fused relational product skips the intermediate
-     consistency∧observable conjunction. *)
-  let odc_local =
-    Bdd.not_ man
-      (Bdd.and_exists man pis consistency (Bdd.not_ man odc_global))
-  in
-  let dc_bdd = Bdd.or_ man sdc odc_local in
   let tt_of bdd =
     Truth_table.of_fun k (fun code ->
         Bdd.eval bdd (fun v ->
             if v >= npi && v < npi + k then code land (1 lsl (v - npi)) <> 0
             else false))
   in
+  let sdc_tt = tt_of sdc in
+  let dontcare =
+    if witnessed s n (Array.of_list fanins) sdc_tt then sdc_tt
+    else begin
+      (* Observability: where no output can see [n]. *)
+      let odc_global = global_odc net man s.globals n in
+      (* y is a local ODC iff every x consistent with y is globally
+         unobservable; the fused relational product skips the
+         intermediate consistency∧observable conjunction. *)
+      let odc_local =
+        Bdd.not_ man
+          (Bdd.and_exists man pis consistency (Bdd.not_ man odc_global))
+      in
+      tt_of (Bdd.or_ man sdc odc_local)
+    end
+  in
   let local_onset = Truth_table.of_expr k (Network.func net n) in
-  { node = n; local_onset; dontcare = tt_of dc_bdd }
+  { node = n; local_onset; dontcare }
 
 (* The sweep driver: analyze each node in the session, let [visit] act on
    it, and bring the session up to date with whatever [visit] installed

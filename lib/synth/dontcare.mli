@@ -8,12 +8,13 @@
     - the {e observability} don't-cares (ODC): fanin combinations for which
       the node's value cannot be observed at any primary output.
 
-    Both are computed exactly with BDDs.  A node may then be re-implemented
-    with any function agreeing with its current one outside the don't-care
-    set.  The power-aware policy ([38]) picks, within that flexibility, the
-    implementation that skews the node's signal probability away from 1/2 —
-    minimizing its [2p(1-p)] switching activity — and two-level-minimizes it
-    with the don't-cares. *)
+    Both are computed exactly, with BDDs unless simulation already proves
+    that the ODC adds nothing to the SDC (see {!sweep}).  A node may then
+    be re-implemented with any function agreeing with its current one
+    outside the don't-care set.  The power-aware policy ([38]) picks,
+    within that flexibility, the implementation that skews the node's
+    signal probability away from 1/2 — minimizing its [2p(1-p)] switching
+    activity — and two-level-minimizes it with the don't-cares. *)
 
 type dc = {
   node : Network.id;
@@ -42,7 +43,22 @@ val sweep : Network.t -> Network.id list -> (dc -> unit) -> unit
     nodes, once the manager holds twice the nodes it held after the last
     compaction, {!Bdd.compact} shrinks it to the live table.  The
     variable order is the one a fresh per-node manager would use, so the
-    results are identical. *)
+    results are identical.
+
+    Most nodes skip the BDD observability computation.  The session also
+    keeps every node's values under 252 fixed-seed random input vectors
+    (4 words of 63 lanes, evaluated by {!Bitsim.compile_word} and
+    refreshed over the same cone after an edit).  After the SDC, the
+    sweep complements the node's lanes and re-simulates its fanout cone.
+    A lane where some output changes is a witness: its fanin code occurs
+    under a real input vector at which the node is observable, so that
+    code is neither an SDC nor a local ODC.  If every code outside the
+    SDC has a witness, the local ODC adds nothing to the SDC, and the
+    SDC is returned as the exact don't-care set.  Only the other nodes
+    (no witness for some care code, or more than 252 care codes) go
+    through {!global_odc}.  Simulation only ever proves codes
+    observable, never unobservable, so the result does not depend on
+    the vectors drawn; only the speed does. *)
 
 val global_odc :
   Network.t -> Bdd.man -> (Network.id, Bdd.t) Hashtbl.t -> Network.id ->

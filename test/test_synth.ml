@@ -227,6 +227,164 @@ let test_sweep_matches_fresh () =
         (networks_equivalent reference net))
     nets
 
+(* The exact don't-care set of node [n], rebuilt without the sweep's
+   simulation shortcut: the SDC of a fresh manager's global functions,
+   plus every fanin code whose consistent input vectors all lie in
+   [Dontcare.global_odc].  Returns [(sdc, sdc ∪ odc)]. *)
+let exact_dontcare net n =
+  let man = Bdd.manager () in
+  let globals = Network.global_bdds net man in
+  let npi = List.length (Network.inputs net) in
+  let fanins = Network.fanins net n in
+  let pis = List.init npi Fun.id in
+  let consistency =
+    Bdd.and_list man
+      (List.mapi
+         (fun j fi ->
+           Bdd.xnor man (Bdd.var man (npi + j)) (Hashtbl.find globals fi))
+         fanins)
+  in
+  let sdc = Bdd.not_ man (Bdd.exists man pis consistency) in
+  let odc =
+    Bdd.not_ man
+      (Bdd.and_exists man pis consistency
+         (Bdd.not_ man (Dontcare.global_odc net man globals n)))
+  in
+  let tt f =
+    Truth_table.of_fun (List.length fanins) (fun code ->
+        Bdd.eval f (fun v -> v >= npi && code land (1 lsl (v - npi)) <> 0))
+  in
+  (tt sdc, tt (Bdd.or_ man sdc odc))
+
+(* A random network with four planted redundancies z = uv + uvw: the uvw
+   node is unobservable wherever uv = 1, so its exact don't-cares reach
+   beyond its SDC. *)
+let planted_net seed =
+  let r = Lowpower.Rng.create seed in
+  let net =
+    Gen_comb.random r
+      { Gen_comb.default_shape with Gen_comb.num_inputs = 7; num_gates = 20 }
+  in
+  let ids = Array.of_list (Network.node_ids net) in
+  for i = 1 to 4 do
+    let u = Lowpower.Rng.pick r ids and v = Lowpower.Rng.pick r ids in
+    let w = Lowpower.Rng.pick r ids in
+    let p = Network.add_node net Expr.(var 0 &&& var 1) [ u; v ] in
+    let t =
+      Network.add_node net Expr.(and_list [ var 0; var 1; var 2 ]) [ u; v; w ]
+    in
+    let z = Network.add_node net Expr.(var 0 ||| var 1) [ p; t ] in
+    Network.set_output net (Printf.sprintf "planted%d" i) z
+  done;
+  net
+
+(* The sweep against the exact oracle at every node, while the visit
+   edits the network so later nodes are analyzed on a changed one: three
+   nodes in four get one of their candidates (rotating through them),
+   the fourth an edit the don't-cares do not allow (xor with a new
+   primary-input fanin), which changes global functions and simulated
+   values downstream.  Most nodes' exact don't-cares equal their SDC,
+   which the sweep settles by simulation; the rest need the BDD
+   observability computation; both kinds must occur. *)
+let test_sweep_matches_exact () =
+  let mult w =
+    (Printf.sprintf "mult%d" w, (Circuits.array_multiplier w).Circuits.net)
+  in
+  let nets =
+    [ mult 3; mult 4; mult 5 ]
+    @ List.map
+        (fun seed ->
+          ( Printf.sprintf "random%d" seed,
+            Gen_comb.random (Lowpower.Rng.create seed)
+              { Gen_comb.default_shape with
+                Gen_comb.num_inputs = 7; num_gates = 25 } ))
+        [ 11; 12; 13; 14 ]
+    @ List.map
+        (fun seed -> (Printf.sprintf "planted%d" seed, planted_net seed))
+        [ 1; 2; 3 ]
+  in
+  let equal_sdc = ref 0 and beyond_sdc = ref 0 in
+  List.iter
+    (fun (name, net) ->
+      let inputs = Array.of_list (Network.inputs net) in
+      let visited = ref 0 and installed = ref 0 in
+      Dontcare.sweep net (Network.topo_order net) (fun d ->
+          let n = d.Dontcare.node in
+          let sdc, exact = exact_dontcare net n in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s node %d dontcare" name n)
+            true
+            (Truth_table.equal exact d.Dontcare.dontcare);
+          if Truth_table.equal exact sdc then incr equal_sdc
+          else incr beyond_sdc;
+          let fanins = Network.fanins net n in
+          (match !visited mod 4 with
+          | 3 ->
+            let x = inputs.(!visited mod Array.length inputs) in
+            Network.replace_func net n
+              Expr.(Network.func net n ^^^ var (List.length fanins))
+              (fanins @ [ x ])
+          | i ->
+            let e =
+              Cover.to_expr (List.nth (Dontcare.minimized_candidates d) i)
+            in
+            if not (Expr.equal e (Network.func net n)) then begin
+              incr installed;
+              Network.replace_func net n e fanins
+            end);
+          incr visited);
+      if !installed = 0 then Alcotest.failf "%s: sweep never edited" name)
+    nets;
+  if !equal_sdc = 0 || !beyond_sdc = 0 then
+    Alcotest.failf "want both kinds of node: %d with dc = sdc, %d beyond"
+      !equal_sdc !beyond_sdc
+
+(* Nodes at the edges of the sweep's simulation shortcut, each checked
+   against the exact oracle: a dangling node (nothing observes it, so no
+   lane can witness it and every code is a don't-care), 0-fanin
+   constants, and 16-fanin nodes over 16 distinct inputs (too many care
+   codes to witness) and over 3 repeated inputs (8 care codes). *)
+let test_sweep_edge_nodes () =
+  let net = Network.create () in
+  let xs = List.init 16 (fun _ -> Network.add_input net) in
+  let a = List.nth xs 0 and b = List.nth xs 1 in
+  let one = Network.add_node net Expr.tru [] in
+  let zero = Network.add_node net Expr.fls [] in
+  let gated = Network.add_node net Expr.(var 0 &&& var 1) [ one; a ] in
+  let dangling = Network.add_node net Expr.(var 0 ||| var 1) [ a; b ] in
+  let wide = Network.add_node net (Expr.and_list (List.init 16 Expr.var)) xs in
+  let masked = Network.add_node net Expr.(var 0 ||| var 1) [ wide; a ] in
+  let parity =
+    List.fold_left
+      (fun acc j -> Expr.(acc ^^^ var j))
+      (Expr.var 0) (List.init 15 succ)
+  in
+  let repeated =
+    Network.add_node net parity (List.init 16 (fun j -> List.nth xs (j mod 3)))
+  in
+  List.iter
+    (fun (nm, i) -> Network.set_output net nm i)
+    [ ("gated", gated); ("masked", masked); ("repeated", repeated) ];
+  let seen = Hashtbl.create 8 in
+  Dontcare.sweep net (Network.topo_order net) (fun d ->
+      let n = d.Dontcare.node in
+      let _, exact = exact_dontcare net n in
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d matches the oracle" n)
+        true
+        (Truth_table.equal exact d.Dontcare.dontcare);
+      Hashtbl.replace seen n d.Dontcare.dontcare);
+  let dc n = Hashtbl.find seen n in
+  let all n = Truth_table.ones (dc n) = Truth_table.num_minterms (dc n) in
+  Alcotest.(check bool) "dangling: every code" true (all dangling);
+  Alcotest.(check bool) "unobserved constant: every code" true (all zero);
+  Alcotest.(check int) "observed constant: no code" 0
+    (Truth_table.ones (dc one));
+  Alcotest.(check int) "wide node: x0 = 1 masks it" 32768
+    (Truth_table.ones (dc wide));
+  Alcotest.(check int) "repeated fanins: all but 8 codes unreachable"
+    (65536 - 8) (Truth_table.ones (dc repeated))
+
 let test_optimize_preserves_outputs () =
   let r = rng () in
   for _ = 1 to 5 do
@@ -571,6 +729,8 @@ let suite =
     quick "fanout-aware dc policy (paper [19])" test_optimize_fanout_policy;
     quick "dc optimization results pinned" test_optimize_pinned;
     quick "dc sweep session matches fresh managers" test_sweep_matches_fresh;
+    quick "dc sweep matches the exact oracle" test_sweep_matches_exact;
+    quick "dc sweep edge nodes match the oracle" test_sweep_edge_nodes;
     quick "dc optimization rejects bad probabilities" test_optimize_rejects_bad_probs;
     quick "algebraic division" test_division;
     quick "kernels found" test_kernels_found;
