@@ -106,8 +106,8 @@ let () =
      demonstrate.  Report it instead of printing the entry contextless. *)
   let sibling_of name =
     let suffixes =
-      [ "_reference"; "_incremental"; "_bitsim"; "_portfolio"; "_serial";
-        "_greedy"; "_beam" ]
+      [ "_reference"; "_incremental"; "_bitsim"; "_serial"; "_greedy";
+        "_beam" ]
     in
     let strip s suf =
       let ls = String.length s and lf = String.length suf in

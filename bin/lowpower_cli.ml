@@ -6,19 +6,24 @@
    dune exec bin/lowpower_cli.exe -- encode --states 12 --seed 3
    dune exec bin/lowpower_cli.exe -- precompute --width 12
    dune exec bin/lowpower_cli.exe -- businvert --width 16 --words 4000
-   dune exec bin/lowpower_cli.exe -- compile --taps 8 *)
+   dune exec bin/lowpower_cli.exe -- compile --taps 8
+
+   A value the libraries reject ([Invalid_argument]: an unknown circuit
+   name, a width out of range, a bad LOWPOWER_* setting) ends the run
+   with a one-line "lowpower_cli: ..." message and exit status 2. *)
 
 open Cmdliner
 
-(* The engine settings, parsed before any command is built (the
-   --domains and --portfolio defaults come from them); an invalid setting
-   stops the program here with the variable and its accepted values. *)
+let reject msg =
+  prerr_endline ("lowpower_cli: " ^ msg);
+  exit 2
+
+(* The engine settings, parsed before any command is built (the --domains
+   default comes from them). *)
 let config =
   match Lowpower.Config.get () with
   | c -> c
-  | exception Invalid_argument msg ->
-    prerr_endline ("lowpower_cli: " ^ msg);
-    exit 2
+  | exception Invalid_argument msg -> reject msg
 
 let build_circuit name width seed =
   match name with
@@ -29,7 +34,7 @@ let build_circuit name width seed =
   | "random" ->
     Gen_comb.random (Lowpower.Rng.create seed)
       { Gen_comb.default_shape with Gen_comb.num_inputs = width }
-  | other -> failwith ("unknown circuit " ^ other)
+  | other -> invalid_arg ("unknown circuit " ^ other)
 
 let circuit_arg =
   Arg.(value & opt string "adder"
@@ -86,7 +91,7 @@ let map_run circuit width seed objective =
     | "area" -> Mapper.Area
     | "delay" -> Mapper.Delay
     | "power" -> Mapper.Power (Activity.zero_delay subj ~input_probs)
-    | other -> failwith ("unknown objective " ^ other)
+    | other -> invalid_arg ("unknown objective " ^ other)
   in
   let m = Mapper.map subj obj in
   Printf.printf "objective: %s\narea: %.1f\ncritical delay: %.1f\n"
@@ -261,7 +266,7 @@ let print_solver_stats (st : Solver.stats) =
     st.Solver.eliminated_vars st.Solver.subsumed_clauses
     st.Solver.strengthened_clauses st.Solver.minimized_literals
 
-let check_run circuit_a circuit_b width seed mutate portfolio =
+let check_run circuit_a circuit_b width seed mutate =
   let a = build_circuit circuit_a width seed in
   let b = build_circuit circuit_b width seed in
   let b =
@@ -272,8 +277,10 @@ let check_run circuit_a circuit_b width seed mutate portfolio =
         List.filter (fun i -> not (Network.is_input b i)) (Network.topo_order b)
       in
       (match List.nth_opt logic k with
-      | None -> failwith (Printf.sprintf "--mutate %d: only %d logic nodes" k
-                            (List.length logic))
+      | None ->
+        invalid_arg
+          (Printf.sprintf "--mutate %d: only %d logic nodes" k
+             (List.length logic))
       | Some n ->
         Network.replace_func b n
           (Expr.not_ (Network.func b n))
@@ -282,9 +289,7 @@ let check_run circuit_a circuit_b width seed mutate portfolio =
         b)
   in
   let stats = ref None in
-  let verdict =
-    Cec.check ~portfolio ~on_stats:(fun st -> stats := Some st) a b
-  in
+  let verdict = Cec.check ~on_stats:(fun st -> stats := Some st) a b in
   match verdict with
   | Cec.Equivalent ->
     Printf.printf "EQUIVALENT: %s and %s agree on all %d outputs\n" circuit_a
@@ -314,17 +319,11 @@ let check_cmd =
              ~doc:"Invert the $(docv)-th logic node of the second circuit \
                    before checking (demonstrates a counterexample).")
   in
-  let portfolio =
-    Arg.(value & opt int config.sat_portfolio
-         & info [ "portfolio" ] ~docv:"N"
-             ~doc:"Race $(docv) diversified solvers on the SAT phase \
-                   (1 = sequential; default from LOWPOWER_SAT_PORTFOLIO).")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Combinational equivalence check (random simulation + SAT miter)")
     Term.(const check_run $ pos_circuit 0 "A" $ pos_circuit 1 "B" $ width_arg 6
-          $ seed_arg $ mutate $ portfolio)
+          $ seed_arg $ mutate)
 
 (* --- seqestimate --- *)
 
@@ -577,14 +576,20 @@ let rewrite_run workload taps width beam samples trace_len seed model coeffs =
   let coeffs =
     match coeffs with
     | "" -> None
-    | s -> Some (List.map int_of_string (String.split_on_char ',' s))
+    | s ->
+      let coeff c =
+        match int_of_string_opt c with
+        | Some k -> k
+        | None -> invalid_arg (Printf.sprintf "--coeffs: bad integer %S" c)
+      in
+      Some (List.map coeff (String.split_on_char ',' s))
   in
   let dfg =
     match workload with
     | "fir" -> Gen_dfg.fir ~taps ?coeffs ~width ()
     | "mac" -> Gen_dfg.mac_chain ~taps ?coeffs ~width ()
     | "biquad" -> Gen_dfg.biquad ()
-    | other -> failwith ("unknown workload " ^ other)
+    | other -> invalid_arg ("unknown workload " ^ other)
   in
   let trace = Gen_dfg.random_samples r dfg ~n:trace_len ~correlated:true () in
   let model =
@@ -592,7 +597,7 @@ let rewrite_run workload taps width beam samples trace_len seed model coeffs =
     | "toggles" -> Cost.Toggles
     | "independence" -> Cost.Independence
     | "area" -> Cost.Area
-    | other -> failwith ("unknown cost model " ^ other)
+    | other -> invalid_arg ("unknown cost model " ^ other)
   in
   let memo = Memo.create () in
   let res = Search.run ~beam ~samples ~memo ~model ~rng:r dfg ~trace in
@@ -704,7 +709,8 @@ let parse_jobs path =
            match int_of_string_opt arg with
            | Some s -> s
            | None ->
-             failwith (Printf.sprintf "%s:%d: bad integer %S" path !line_no arg)
+             invalid_arg
+               (Printf.sprintf "%s:%d: bad integer %S" path !line_no arg)
          in
          let label = Printf.sprintf "%s-%s-%d" kind arg !line_no in
          let r = Lowpower.Rng.create seed in
@@ -727,12 +733,12 @@ let parse_jobs path =
              Batch.Encode_fsm
                { label; stg = Gen_fsm.counter ~bits:(max 2 (min 4 seed)) }
            | other ->
-             failwith (Printf.sprintf "%s:%d: unknown job kind %S" path
-                         !line_no other)
+             invalid_arg (Printf.sprintf "%s:%d: unknown job kind %S" path
+                            !line_no other)
          in
          jobs := job :: !jobs
-       | _ -> failwith (Printf.sprintf "%s:%d: expected '<kind> <int>'" path
-                          !line_no)
+       | _ -> invalid_arg (Printf.sprintf "%s:%d: expected '<kind> <int>'"
+                             path !line_no)
      done
    with End_of_file -> close_in ic);
   Array.of_list (List.rev !jobs)
@@ -803,10 +809,21 @@ let batch_cmd =
 let () =
   let doc = "low-power VLSI optimization toolkit (DAC'95 survey reproduction)" in
   print_endline (Lowpower.Config.to_string config);
+  let cli =
+    Cmd.group
+      (Cmd.info "lowpower_cli" ~doc)
+      [ analyze_cmd; map_cmd; encode_cmd; precompute_cmd; businvert_cmd;
+        compile_cmd; guard_cmd; check_cmd; seqestimate_cmd; annotate_cmd;
+        tournament_cmd; size_cmd; rewrite_cmd; batch_cmd ]
+  in
+  (* [~catch:false] lets a rejected value reach [reject]; any other
+     exception still ends the run as cmdliner's internal error. *)
   exit
-    (Cmd.eval
-       (Cmd.group
-          (Cmd.info "lowpower_cli" ~doc)
-          [ analyze_cmd; map_cmd; encode_cmd; precompute_cmd; businvert_cmd;
-            compile_cmd; guard_cmd; check_cmd; seqestimate_cmd; annotate_cmd;
-            tournament_cmd; size_cmd; rewrite_cmd; batch_cmd ]))
+    (match Cmd.eval ~catch:false cli with
+    | code -> code
+    | exception Invalid_argument msg -> reject msg
+    | exception e ->
+      prerr_endline
+        ("lowpower_cli: internal error, uncaught exception: "
+        ^ Printexc.to_string e);
+      Cmd.Exit.internal_error)

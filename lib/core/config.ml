@@ -1,6 +1,5 @@
 type t = {
   verify : [ `Bdd | `Sat | `Off ];
-  sat_portfolio : int;
   serve_domains : int;
 }
 
@@ -25,19 +24,16 @@ let of_lookup lookup =
         invalid_arg
           (Printf.sprintf "%s=%S: accepted values are %s" var v accepted))
   in
-  let domains var ~default =
-    setting var ~default ~parse:(int_in ~hi:max_domains)
-      ~accepted:(Printf.sprintf "integers 1 .. %d" max_domains)
-  in
   {
     verify =
       setting "LOWPOWER_VERIFY" ~default:`Off
         ~parse:(fun v -> List.assoc_opt v verifies)
         ~accepted:(String.concat " | " (List.map fst verifies));
-    sat_portfolio = domains "LOWPOWER_SAT_PORTFOLIO" ~default:1;
     serve_domains =
-      domains "LOWPOWER_SERVE_DOMAINS"
-        ~default:(max 1 (min 8 (Domain.recommended_domain_count ())));
+      setting "LOWPOWER_SERVE_DOMAINS"
+        ~default:(max 1 (min 8 (Domain.recommended_domain_count ())))
+        ~parse:(int_in ~hi:max_domains)
+        ~accepted:(Printf.sprintf "integers 1 .. %d" max_domains);
   }
 
 (* Not [Lazy]: forcing one lazy value from two domains at once raises.
@@ -53,6 +49,6 @@ let get () =
     c
 
 let to_string c =
-  Printf.sprintf "config: verify=%s sat_portfolio=%d serve_domains=%d"
+  Printf.sprintf "config: verify=%s serve_domains=%d"
     (fst (List.find (fun (_, v) -> v = c.verify) verifies))
-    c.sat_portfolio c.serve_domains
+    c.serve_domains

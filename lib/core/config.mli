@@ -1,18 +1,15 @@
-(** The engine switchboard: the three environment settings that choose
+(** The engine switchboard: the two environment settings that choose
     how a result is proved and how many domains compute it, parsed once
-    per process.  An explicit argument ([?verify], [?portfolio],
-    [?domains]) always wins; the record supplies the default a caller
-    leaves out.  One rule covers all three: unset gives the default, an
-    accepted value selects it, and anything else raises [Invalid_argument]
-    naming the variable and its accepted values. *)
+    per process.  An explicit argument ([?verify], [?domains]) always
+    wins; the record supplies the default a caller leaves out.  One rule
+    covers both: unset gives the default, an accepted value selects it,
+    and anything else raises [Invalid_argument] naming the variable and
+    its accepted values. *)
 
 type t = {
   verify : [ `Bdd | `Sat | `Off ];
       (** [LOWPOWER_VERIFY]: off (default), sat or bdd — the default
           [?verify] of every rewriting pass *)
-  sat_portfolio : int;
-      (** [LOWPOWER_SAT_PORTFOLIO]: 1 (default, sequential) to
-          {!max_domains} solver lanes per [Cec] query *)
   serve_domains : int;
       (** [LOWPOWER_SERVE_DOMAINS]: 1 to {!max_domains} [Pool.map]
           workers; default the recommended domain count, at most 8 *)
@@ -20,7 +17,7 @@ type t = {
 
 val max_domains : int
 (** 128, the most domains the OCaml runtime runs at once: the bound of
-    both domain-count settings, and [Pool.map]'s clamp. *)
+    [serve_domains], and [Pool.map]'s clamp. *)
 
 val of_lookup : (string -> string option) -> t
 (** Parse the settings through a lookup ([Sys.getenv_opt] for the
@@ -32,5 +29,4 @@ val get : unit -> t
     and shared by every domain afterwards.  Raises like {!of_lookup}. *)
 
 val to_string : t -> string
-(** One line naming every setting: [config: verify=off sat_portfolio=1
-    serve_domains=2]. *)
+(** One line naming every setting: [config: verify=off serve_domains=2]. *)

@@ -31,12 +31,8 @@
     base folds back onto the base's own literals and most output miters
     vanish without a solve.  The strash and signature tables are built on
     the first equivalence obligation; never-true obligations
-    ({!session_never_true}) do not pay for them.
-    {e Portfolios} race [N] diversified solvers on one hard query via
-    {!Solver.solve_portfolio}; the lane count defaults to
-    [sat_portfolio] of [Lowpower.Config] (1, sequential, unless
-    [LOWPOWER_SAT_PORTFOLIO] says otherwise).  The one-shot {!check} is
-    the oracle the session path is property-tested against. *)
+    ({!session_never_true}) do not pay for them.  The one-shot {!check}
+    is the oracle the session path is property-tested against. *)
 
 type outcome =
   | Equivalent
@@ -47,7 +43,6 @@ type outcome =
 val check :
   ?rounds:int ->
   ?seed:int ->
-  ?portfolio:int ->
   ?on_stats:(Solver.stats -> unit) ->
   Network.t ->
   Network.t ->
@@ -55,14 +50,8 @@ val check :
 (** [check a b] decides whether every equally-named output computes the
     same function of the primary inputs.  [rounds] (default 4) sets the
     number of 63-vector random simulation passes; [seed] their stream.
-    [portfolio] (default from [Lowpower.Config]) races that many
-    diversified solvers on the combined miter disjunction instead of
-    solving per-output incrementally.  [on_stats] receives the solver
-    counters when the SAT phase ran — the simulation filter
-    short-circuits it.  On a portfolio race the counters are the
-    {!Solver.sum_stats} aggregate over every lane (total effort, not just
-    the winner's share), so batch drivers can account SAT work faithfully.
-    Raises [Invalid_argument] if the input counts or output name sets
+    [on_stats] receives the solver counters when the SAT phase ran — the
+    simulation filter short-circuits it.  Raises [Invalid_argument] if the input counts or output name sets
     differ. *)
 
 val miter : Network.t -> Network.t -> Network.t
@@ -79,16 +68,11 @@ val replay : Network.t -> Network.t -> bool array -> bool
     yields the miter value on [vec].  [true] means the networks really
     disagree on [vec]. *)
 
-val satisfiable :
-  ?portfolio:int ->
-  ?on_stats:(Solver.stats -> unit) ->
-  Network.t ->
-  string ->
-  bool array option
+val satisfiable : Network.t -> string -> bool array option
 (** [satisfiable net out] is an input vector driving the named output to
     1, or [None] if the output is constant false — the discharge engine
-    for the never-true proof obligations of {!Verify}.  [portfolio] and
-    [on_stats] as in {!check}. *)
+    for the never-true proof obligations of {!Verify}.  Raises
+    [Invalid_argument] on an unknown output. *)
 
 (** {1 Incremental sessions} *)
 

@@ -19,8 +19,8 @@
 
     The promotion record carries the full field (scores, margins,
     verdicts) plus the aggregate SAT effort of the session — with
-    {!Solver.sum_stats} semantics, so portfolio-raced or multi-query
-    verification is accounted in total, not winning-lane-only. *)
+    {!Solver.sum_stats} semantics, so multi-query verification is
+    accounted in total, not last-query-only. *)
 
 type strategy = {
   s_name : string;

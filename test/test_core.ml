@@ -204,8 +204,6 @@ let config_settings =
         match c.Config.verify with
         | `Off -> "off" | `Sat -> "sat" | `Bdd -> "bdd"),
       "off", [ ("sat", "sat"); ("bdd", "bdd"); ("off", "off") ], "yes", "SAT" );
-    ( "LOWPOWER_SAT_PORTFOLIO", (fun c -> string_of_int c.Config.sat_portfolio),
-      "1", [ ("2", "2"); ("1", "1"); ("128", "128") ], "two", "129" );
     ( "LOWPOWER_SERVE_DOMAINS", (fun c -> string_of_int c.Config.serve_domains),
       string_of_int (max 1 (min 8 (Domain.recommended_domain_count ()))),
       [ ("4", "4"); ("1", "1"); ("128", "128") ], " 4", "129" );
@@ -235,7 +233,7 @@ let config_test (var, field, default, accepted, malformed, out_of_range) () =
 
 let test_config_to_string () =
   Alcotest.(check string) "one line, every setting"
-    "config: verify=off sat_portfolio=1 serve_domains=2"
+    "config: verify=off serve_domains=2"
     (Config.to_string (config [ ("LOWPOWER_SERVE_DOMAINS", "2") ]));
   Alcotest.(check string) "get parses the process environment"
     (Config.to_string (Config.of_lookup Sys.getenv_opt))
